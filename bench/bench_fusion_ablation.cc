@@ -15,6 +15,7 @@
 /// scripts/bench_diff.py can diff runs against the committed baseline
 /// (bench/baselines/fusion_ablation_quick.jsonl); "fused_over_gpl" is the
 /// fused/gpl elapsed ratio, so higher-is-worse like every other diffed field.
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -37,8 +38,9 @@ bool TablesBitIdentical(const Table& expected, const Table& actual) {
     const Column& e = expected.ColumnAt(i);
     const Column& a = actual.ColumnAt(i);
     if (e.type() != a.type()) return false;
-    if (e.data32() != a.data32() || e.data64() != a.data64() ||
-        e.dataf() != a.dataf()) {
+    if (!std::ranges::equal(e.data32(), a.data32()) ||
+        !std::ranges::equal(e.data64(), a.data64()) ||
+        !std::ranges::equal(e.dataf(), a.dataf())) {
       return false;
     }
   }

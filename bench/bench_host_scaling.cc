@@ -16,6 +16,7 @@
 /// batch (tolerance because CI runners may expose a single core, where extra
 /// threads can only add overhead), or if the warm-pass cache hit rate is
 /// below 90%.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -40,8 +41,9 @@ bool TablesBitIdentical(const Table& expected, const Table& actual) {
     const Column& e = expected.ColumnAt(i);
     const Column& a = actual.ColumnAt(i);
     if (e.type() != a.type()) return false;
-    if (e.data32() != a.data32() || e.data64() != a.data64() ||
-        e.dataf() != a.dataf()) {
+    if (!std::ranges::equal(e.data32(), a.data32()) ||
+        !std::ranges::equal(e.data64(), a.data64()) ||
+        !std::ranges::equal(e.dataf(), a.dataf())) {
       return false;
     }
   }

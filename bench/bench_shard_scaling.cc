@@ -27,6 +27,7 @@
 /// (shard counts then sweep only sizes equal to the list length);
 /// --link-gbps=<G> overrides the link bandwidth; --partition=hash|range
 /// picks the partitioning scheme.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -54,8 +55,9 @@ bool TablesBitIdentical(const Table& expected, const Table& actual) {
     const Column& e = expected.ColumnAt(i);
     const Column& a = actual.ColumnAt(i);
     if (e.type() != a.type()) return false;
-    if (e.data32() != a.data32() || e.data64() != a.data64() ||
-        e.dataf() != a.dataf()) {
+    if (!std::ranges::equal(e.data32(), a.data32()) ||
+        !std::ranges::equal(e.data64(), a.data64()) ||
+        !std::ranges::equal(e.dataf(), a.dataf())) {
       return false;
     }
   }

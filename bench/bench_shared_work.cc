@@ -14,6 +14,7 @@
 /// >= 1.3x, shared scans serve more rows than the cold scans materialized.
 /// Deterministic rows (workers=1) are committed as
 /// bench/baselines/shared_work_quick.jsonl and diffed by bench_diff.py.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <deque>
@@ -56,8 +57,9 @@ void CheckTablesBitIdentical(const Table& expected, const Table& actual,
   for (int64_t i = 0; i < expected.num_columns(); ++i) {
     const Column& e = expected.ColumnAt(i);
     const Column& a = actual.ColumnAt(i);
-    GPL_CHECK(e.data32() == a.data32() && e.data64() == a.data64() &&
-              e.dataf() == a.dataf())
+    GPL_CHECK(std::ranges::equal(e.data32(), a.data32()) &&
+              std::ranges::equal(e.data64(), a.data64()) &&
+              std::ranges::equal(e.dataf(), a.dataf()))
         << what << " column " << expected.ColumnNameAt(i)
         << " diverged from the isolated cache-less truth";
   }

@@ -53,19 +53,25 @@ ctest --test-dir "$BUILD-tsan" --output-on-failure \
   -R "QueryService|ThreadPool|TuningCache|HostParallel|ServiceChaos|ShardedService|MetricsRegistry|FusedBitIdentity|PagePool|SubplanCache"
 
 echo
-echo "=== asan+ubsan: fault-injection and service suites ==="
+echo "=== asan+ubsan: fault-injection, service and functional-kernel suites ==="
 # Fault paths unwind executions mid-flight (partial work, retry loops,
 # degradation re-runs); ASan+UBSan guards those error paths against leaks,
-# use-after-free and UB that the happy path never exercises.
+# use-after-free and UB that the happy path never exercises. The typed
+# functional kernels (expressions, aggregation, hash probe) index raw
+# buffers, including stride-0 scalar operands, so an out-of-bounds read
+# there would otherwise pass silently. Column slices are offset views into
+# shared buffers (storage/column.h), so the storage suite runs here too.
 cmake -B "$BUILD-asan" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -O1 -g" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build "$BUILD-asan" -j \
   --target fault_test --target service_test --target sim_channel_test \
-  --target fusion_test --target subplan_cache_test
+  --target fusion_test --target subplan_cache_test \
+  --target expr_fuzz_test --target expr_test --target primitives_test \
+  --target hash_table_test --target storage_test
 ctest --test-dir "$BUILD-asan" --output-on-failure \
-  -R "Fault|ServiceChaos|QueryService|QueryHandle|Percentile|Channel|PlanFusion|FusedKernel|ComposeFusedStage|SubplanCache"
+  -R "Fault|ServiceChaos|QueryService|QueryHandle|Percentile|Channel|PlanFusion|FusedKernel|ComposeFusedStage|SubplanCache|ExprFuzz|ExprTest|FilterKernel|ProjectKernel|HashBuild|AggregateKernel|SortKernel|KbePrimitives|TimingDesc|JoinHashTable|Dictionary|ColumnTest|ColumnDeathTest|TableTest|TableDeathTest"
 
 echo
 echo "=== trace smoke: gplcli --trace on Q5, JSON validated ==="

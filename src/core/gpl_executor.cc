@@ -115,7 +115,9 @@ Result<std::shared_ptr<const Table>> GplExecutor::ResolveInput(
         const std::string name = segment.input_alias.empty()
                                      ? col
                                      : segment.input_alias + "_" + col;
-        GPL_RETURN_NOT_OK(view.AddColumn(name, base->GetColumn(col)));
+        // A slice view shares the base column's buffer: no copy.
+        const Column& column = base->GetColumn(col);
+        GPL_RETURN_NOT_OK(view.AddColumn(name, column.Slice(0, column.size())));
       }
       return view;
     };

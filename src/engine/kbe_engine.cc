@@ -40,9 +40,10 @@ Result<Table> KbeEngine::Exec(const PhysicalOp& op, Context* ctx) {
       for (const std::string& col : op.columns) {
         const std::string name =
             op.alias.empty() ? col : op.alias + "_" + col;
-        GPL_RETURN_NOT_OK(view.AddColumn(name, base->GetColumn(col)));
+        const Column& column = base->GetColumn(col);
+        GPL_RETURN_NOT_OK(view.AddColumn(name, column.Slice(0, column.size())));
       }
-      return view;  // base data already resides in global memory
+      return view;  // base data already resides in global memory: no copy
     }
 
     case PhysicalOp::Kind::kFilter: {

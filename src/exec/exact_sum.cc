@@ -23,51 +23,6 @@ void PropagateCarries(std::array<int64_t, ExactFloat64Sum::kDigits>* digits) {
 
 }  // namespace
 
-void ExactFloat64Sum::Add(double x) {
-  uint64_t bits;
-  std::memcpy(&bits, &x, sizeof(bits));
-  const uint64_t frac = bits & 0xfffffffffffffULL;
-  const int exp = static_cast<int>((bits >> 52) & 0x7ff);
-  const bool neg = (bits >> 63) != 0;
-  if (exp == 0x7ff) {
-    if (frac != 0) {
-      any_nan_ = true;
-    } else if (neg) {
-      any_neg_inf_ = true;
-    } else {
-      any_pos_inf_ = true;
-    }
-    return;
-  }
-  uint64_t mantissa = frac;
-  int lsb_exp;  // binary exponent of the mantissa's bit 0
-  if (exp == 0) {
-    if (mantissa == 0) return;  // +/-0 contributes nothing
-    lsb_exp = 1 - 1075;         // subnormal
-  } else {
-    mantissa |= uint64_t{1} << 52;
-    lsb_exp = exp - 1075;
-  }
-  const int shift = lsb_exp - kMinExp;  // >= 14 by choice of kMinExp
-  const int digit = shift >> 5;
-  const int bit = shift & 31;
-  // The shifted mantissa spans < 85 bits: three base-2^32 chunks.
-  const unsigned __int128 wide = static_cast<unsigned __int128>(mantissa) << bit;
-  int64_t c0 = static_cast<int64_t>(static_cast<uint64_t>(wide) & 0xffffffffULL);
-  int64_t c1 =
-      static_cast<int64_t>(static_cast<uint64_t>(wide >> 32) & 0xffffffffULL);
-  int64_t c2 = static_cast<int64_t>(static_cast<uint64_t>(wide >> 64));
-  if (neg) {
-    c0 = -c0;
-    c1 = -c1;
-    c2 = -c2;
-  }
-  digits_[digit] += c0;
-  digits_[digit + 1] += c1;
-  digits_[digit + 2] += c2;
-  if (++adds_ >= kNormalizeEvery) Normalize();
-}
-
 void ExactFloat64Sum::AddCanonical(const Canonical& c) {
   any_pos_inf_ |= c.any_pos_inf;
   any_neg_inf_ |= c.any_neg_inf;

@@ -2,15 +2,163 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <type_traits>
 
 #include "common/logging.h"
 #include "tpch/date.h"
 
 namespace gpl {
 
+Datum Datum::Borrow(const Column& column, int64_t begin, int64_t len) {
+  GPL_CHECK(begin >= 0 && len >= 0 && begin + len <= column.size())
+      << "row range [" << begin << ", " << begin + len << ") of "
+      << column.size();
+  Datum d(Kind::kBorrowed, column.type(), len);
+  d.borrowed_ = &column;
+  d.begin_ = begin;
+  return d;
+}
+
+Datum Datum::Own(Column column) {
+  Datum d(Kind::kOwned, column.type(), column.size());
+  d.owned_.emplace(std::move(column));
+  return d;
+}
+
+const std::shared_ptr<Dictionary>& Datum::dictionary() const {
+  static const std::shared_ptr<Dictionary> kNone;
+  if (kind_ == Kind::kOwned) return owned_->dictionary();
+  return kind_ == Kind::kBorrowed ? borrowed_->dictionary() : kNone;
+}
+
+Column Datum::ToColumn() && {
+  switch (kind_) {
+    case Kind::kOwned:
+      return std::move(*owned_);
+    case Kind::kBorrowed:
+      return borrowed_->Slice(begin_, rows_);
+    case Kind::kScalar:
+      break;
+  }
+  Column out(type_);
+  const size_t n = static_cast<size_t>(rows_);
+  switch (type_) {
+    case DataType::kInt64:
+      out.data64().assign(n, scalar_.i64);
+      break;
+    case DataType::kFloat64:
+      out.dataf().assign(n, scalar_.f64);
+      break;
+    default:
+      out.data32().assign(n, scalar_.i32);
+      break;
+  }
+  return out;
+}
+
 namespace {
 
 bool IsFloat(DataType t) { return t == DataType::kFloat64; }
+
+// ---- Typed loops ----
+//
+// The conversions below are exactly Column::AsInt64 / Column::AsDouble:
+// plain static_casts, so a double truncates toward zero.
+
+template <typename T>
+int64_t ToInt64(T v) {
+  return static_cast<int64_t>(v);
+}
+
+/// Domain of a binary operator: double when either side is float, int64
+/// otherwise.
+template <typename X, typename Y>
+using CommonType =
+    std::conditional_t<std::is_same_v<X, double> || std::is_same_v<Y, double>,
+                       double, int64_t>;
+
+template <typename T>
+std::vector<T>& Buffer(Column& c) {
+  if constexpr (std::is_same_v<T, int32_t>) {
+    return c.data32();
+  } else if constexpr (std::is_same_v<T, int64_t>) {
+    return c.data64();
+  } else {
+    return c.dataf();
+  }
+}
+
+/// out[i] = f(a[i]) over the rows of `a`; a scalar stays a scalar.
+template <typename F>
+Datum Map1(const Datum& a, F f) {
+  return VisitTyped(a, [&](const auto* pa) {
+    using R = decltype(f(pa[0]));
+    const int64_t n = a.size();
+    if (a.is_scalar()) return Datum::Scalar<R>(f(pa[0]), n);
+    Column out(Datum::DefaultType<R>());
+    std::vector<R>& buf = Buffer<R>(out);
+    buf.resize(static_cast<size_t>(n));
+    R* o = buf.data();
+    for (int64_t i = 0; i < n; ++i) o[i] = f(pa[i]);
+    return Datum::Own(std::move(out));
+  });
+}
+
+/// out[i] = f(a[i], b[i]). The operand physical types are resolved once per
+/// batch; a scalar operand is read once and broadcast, so each (type, type)
+/// pair gets one branch-free loop per column/scalar shape.
+template <typename F>
+Datum Map2(const Datum& a, const Datum& b, F f) {
+  return VisitTyped(a, [&](const auto* pa) {
+    return VisitTyped(b, [&](const auto* pb) {
+      using R = decltype(f(pa[0], pb[0]));
+      const int64_t n = a.size();
+      if (a.is_scalar() && b.is_scalar()) {
+        return Datum::Scalar<R>(f(pa[0], pb[0]), n);
+      }
+      Column out(Datum::DefaultType<R>());
+      std::vector<R>& buf = Buffer<R>(out);
+      buf.resize(static_cast<size_t>(n));
+      R* o = buf.data();
+      if (a.is_scalar()) {
+        const auto va = pa[0];
+        for (int64_t i = 0; i < n; ++i) o[i] = f(va, pb[i]);
+      } else if (b.is_scalar()) {
+        const auto vb = pb[0];
+        for (int64_t i = 0; i < n; ++i) o[i] = f(pa[i], vb);
+      } else {
+        for (int64_t i = 0; i < n; ++i) o[i] = f(pa[i], pb[i]);
+      }
+      return Datum::Own(std::move(out));
+    });
+  });
+}
+
+/// A comparison in the operands' CommonType; 0/1 int32 result.
+template <typename Cmp>
+Datum Compare(const Datum& a, const Datum& b, Cmp cmp) {
+  return Map2(a, b, [cmp](auto x, auto y) -> int32_t {
+    using C = CommonType<decltype(x), decltype(y)>;
+    return cmp(static_cast<C>(x), static_cast<C>(y)) ? 1 : 0;
+  });
+}
+
+/// Arithmetic in the operands' CommonType.
+template <typename Op>
+Datum Arithmetic(const Datum& a, const Datum& b, Op op) {
+  return Map2(a, b, [op](auto x, auto y) {
+    using C = CommonType<decltype(x), decltype(y)>;
+    return op(static_cast<C>(x), static_cast<C>(y));
+  });
+}
+
+struct DivOp {
+  template <typename T>
+  T operator()(T x, T y) const {
+    return y == 0 ? T{0} : x / y;
+  }
+};
 
 class ColumnRef : public Expr {
  public:
@@ -20,8 +168,9 @@ class ColumnRef : public Expr {
     return input.GetColumn(name_).type();
   }
 
-  Column Evaluate(const Table& input) const override {
-    return input.GetColumn(name_);  // deep copy; callers treat columns as values
+  Datum EvaluateRows(const Table& input, int64_t begin,
+                     int64_t len) const override {
+    return Datum::Borrow(input.GetColumn(name_), begin, len);
   }
 
   double CostPerRow() const override { return 0.0; }
@@ -71,31 +220,18 @@ class Literal : public Expr {
 
   DataType OutputType(const Table&) const override { return type_; }
 
-  Column Evaluate(const Table& input) const override {
-    const int64_t n = input.num_rows();
+  Datum EvaluateRows(const Table&, int64_t, int64_t len) const override {
     switch (type_) {
-      case DataType::kInt64: {
-        Column c(DataType::kInt64);
-        c.Reserve(n);
-        for (int64_t i = 0; i < n; ++i) c.AppendInt64(int_);
-        return c;
-      }
-      case DataType::kFloat64: {
-        Column c(DataType::kFloat64);
-        c.Reserve(n);
-        for (int64_t i = 0; i < n; ++i) c.AppendDouble(float_);
-        return c;
-      }
-      case DataType::kDate: {
-        Column c(DataType::kDate);
-        c.Reserve(n);
-        for (int64_t i = 0; i < n; ++i) c.AppendInt32(static_cast<int32_t>(int_));
-        return c;
-      }
+      case DataType::kInt64:
+        return Datum::Scalar(int_, len);
+      case DataType::kFloat64:
+        return Datum::Scalar(float_, len);
+      case DataType::kDate:
+        return Datum::Scalar(static_cast<int32_t>(int_), len, DataType::kDate);
       default:
         GPL_LOG(Fatal) << "string literals are only valid inside comparisons";
     }
-    return Column(DataType::kInt32);
+    return Datum::Scalar(int32_t{0}, len);
   }
 
   double CostPerRow() const override { return 0.0; }
@@ -131,6 +267,11 @@ class Literal : public Expr {
   double float_ = 0.0;
   std::string str_;
 };
+
+const Literal* StringLiteral(const Expr* e) {
+  const auto* lit = dynamic_cast<const Literal*>(e);
+  return lit != nullptr && lit->type_ == DataType::kString ? lit : nullptr;
+}
 
 enum class BinOp { kAdd, kSub, kMul, kDiv, kEq, kNe, kLt, kLe, kGt, kGe, kAnd, kOr };
 
@@ -172,123 +313,53 @@ class BinaryExpr : public Expr {
     return DataType::kInt64;
   }
 
-  Column Evaluate(const Table& input) const override {
+  Datum EvaluateRows(const Table& input, int64_t begin,
+                     int64_t len) const override {
     // String equality against a literal: compare dictionary codes.
     if (IsComparison(op_)) {
-      const Column* str_col = nullptr;
-      const Literal* str_lit = nullptr;
-      if (auto lit = dynamic_cast<const Literal*>(b_.get());
-          lit != nullptr && lit->type_ == DataType::kString) {
-        str_lit = lit;
-        // a_ must be a string column reference.
-      } else if (auto lit2 = dynamic_cast<const Literal*>(a_.get());
-                 lit2 != nullptr && lit2->type_ == DataType::kString) {
-        str_lit = lit2;
+      const Literal* str_lit = StringLiteral(b_.get());
+      const Expr* col_side = a_.get();
+      if (str_lit == nullptr) {
+        str_lit = StringLiteral(a_.get());
+        col_side = b_.get();
       }
       if (str_lit != nullptr) {
         GPL_CHECK(op_ == BinOp::kEq || op_ == BinOp::kNe)
             << "only =/<> are supported on strings (Ocelot-style workload)";
-        const Expr* col_side = (str_lit == b_.get() ? a_.get() : b_.get());
-        Column col = col_side->Evaluate(input);
-        GPL_CHECK(col.type() == DataType::kString)
+        const Datum codes = col_side->EvaluateRows(input, begin, len);
+        GPL_CHECK(codes.type() == DataType::kString)
             << "string literal compared to non-string expression";
-        str_col = &col;
-        const int32_t code = col.dictionary()->Lookup(str_lit->str_);
-        const int64_t n = str_col->size();
-        Column out(DataType::kInt32);
-        out.Reserve(n);
-        for (int64_t i = 0; i < n; ++i) {
-          const bool eq = str_col->Int32At(i) == code;
-          out.AppendInt32((op_ == BinOp::kEq) == eq ? 1 : 0);
-        }
-        return out;
+        const Datum code =
+            Datum::Scalar(codes.dictionary()->Lookup(str_lit->str_), len);
+        return op_ == BinOp::kEq ? Compare(codes, code, std::equal_to<>())
+                                 : Compare(codes, code, std::not_equal_to<>());
       }
     }
 
-    Column ca = a_->Evaluate(input);
-    Column cb = b_->Evaluate(input);
-    const int64_t n = ca.size();
-    GPL_CHECK(cb.size() == n) << "operand length mismatch in " << ToString();
-
-    if (op_ == BinOp::kAnd || op_ == BinOp::kOr) {
-      Column out(DataType::kInt32);
-      out.Reserve(n);
-      for (int64_t i = 0; i < n; ++i) {
-        const bool va = ca.AsInt64(i) != 0;
-        const bool vb = cb.AsInt64(i) != 0;
-        out.AppendInt32((op_ == BinOp::kAnd ? (va && vb) : (va || vb)) ? 1 : 0);
-      }
-      return out;
+    const Datum da = a_->EvaluateRows(input, begin, len);
+    const Datum db = b_->EvaluateRows(input, begin, len);
+    switch (op_) {
+      case BinOp::kAdd: return Arithmetic(da, db, std::plus<>());
+      case BinOp::kSub: return Arithmetic(da, db, std::minus<>());
+      case BinOp::kMul: return Arithmetic(da, db, std::multiplies<>());
+      case BinOp::kDiv: return Arithmetic(da, db, DivOp());
+      case BinOp::kEq: return Compare(da, db, std::equal_to<>());
+      case BinOp::kNe: return Compare(da, db, std::not_equal_to<>());
+      case BinOp::kLt: return Compare(da, db, std::less<>());
+      case BinOp::kLe: return Compare(da, db, std::less_equal<>());
+      case BinOp::kGt: return Compare(da, db, std::greater<>());
+      case BinOp::kGe: return Compare(da, db, std::greater_equal<>());
+      case BinOp::kAnd:
+        return Map2(da, db, [](auto x, auto y) -> int32_t {
+          return (ToInt64(x) != 0) & (ToInt64(y) != 0);
+        });
+      case BinOp::kOr:
+        return Map2(da, db, [](auto x, auto y) -> int32_t {
+          return (ToInt64(x) != 0) | (ToInt64(y) != 0);
+        });
     }
-
-    if (IsComparison(op_)) {
-      Column out(DataType::kInt32);
-      out.Reserve(n);
-      const bool flt = IsFloat(ca.type()) || IsFloat(cb.type());
-      for (int64_t i = 0; i < n; ++i) {
-        bool r = false;
-        if (flt) {
-          const double va = ca.AsDouble(i), vb = cb.AsDouble(i);
-          switch (op_) {
-            case BinOp::kEq: r = va == vb; break;
-            case BinOp::kNe: r = va != vb; break;
-            case BinOp::kLt: r = va < vb; break;
-            case BinOp::kLe: r = va <= vb; break;
-            case BinOp::kGt: r = va > vb; break;
-            case BinOp::kGe: r = va >= vb; break;
-            default: break;
-          }
-        } else {
-          const int64_t va = ca.AsInt64(i), vb = cb.AsInt64(i);
-          switch (op_) {
-            case BinOp::kEq: r = va == vb; break;
-            case BinOp::kNe: r = va != vb; break;
-            case BinOp::kLt: r = va < vb; break;
-            case BinOp::kLe: r = va <= vb; break;
-            case BinOp::kGt: r = va > vb; break;
-            case BinOp::kGe: r = va >= vb; break;
-            default: break;
-          }
-        }
-        out.AppendInt32(r ? 1 : 0);
-      }
-      return out;
-    }
-
-    // Arithmetic.
-    const bool flt = IsFloat(ca.type()) || IsFloat(cb.type());
-    if (flt) {
-      Column out(DataType::kFloat64);
-      out.Reserve(n);
-      for (int64_t i = 0; i < n; ++i) {
-        const double va = ca.AsDouble(i), vb = cb.AsDouble(i);
-        double r = 0.0;
-        switch (op_) {
-          case BinOp::kAdd: r = va + vb; break;
-          case BinOp::kSub: r = va - vb; break;
-          case BinOp::kMul: r = va * vb; break;
-          case BinOp::kDiv: r = vb == 0.0 ? 0.0 : va / vb; break;
-          default: break;
-        }
-        out.AppendDouble(r);
-      }
-      return out;
-    }
-    Column out(DataType::kInt64);
-    out.Reserve(n);
-    for (int64_t i = 0; i < n; ++i) {
-      const int64_t va = ca.AsInt64(i), vb = cb.AsInt64(i);
-      int64_t r = 0;
-      switch (op_) {
-        case BinOp::kAdd: r = va + vb; break;
-        case BinOp::kSub: r = va - vb; break;
-        case BinOp::kMul: r = va * vb; break;
-        case BinOp::kDiv: r = vb == 0 ? 0 : va / vb; break;
-        default: break;
-      }
-      out.AppendInt64(r);
-    }
-    return out;
+    GPL_LOG(Fatal) << "unknown binary operator";
+    return da;
   }
 
   double CostPerRow() const override {
@@ -379,13 +450,10 @@ class NotExpr : public Expr {
 
   DataType OutputType(const Table&) const override { return DataType::kInt32; }
 
-  Column Evaluate(const Table& input) const override {
-    Column ca = a_->Evaluate(input);
-    Column out(DataType::kInt32);
-    const int64_t n = ca.size();
-    out.Reserve(n);
-    for (int64_t i = 0; i < n; ++i) out.AppendInt32(ca.AsInt64(i) == 0 ? 1 : 0);
-    return out;
+  Datum EvaluateRows(const Table& input, int64_t begin,
+                     int64_t len) const override {
+    return Map1(a_->EvaluateRows(input, begin, len),
+                [](auto x) -> int32_t { return ToInt64(x) == 0 ? 1 : 0; });
   }
 
   double CostPerRow() const override { return 1.0 + a_->CostPerRow(); }
@@ -409,16 +477,14 @@ class YearExpr : public Expr {
 
   DataType OutputType(const Table&) const override { return DataType::kInt32; }
 
-  Column Evaluate(const Table& input) const override {
-    Column ca = a_->Evaluate(input);
-    GPL_CHECK(ca.type() == DataType::kDate) << "YearOf needs a date expression";
-    Column out(DataType::kInt32);
-    const int64_t n = ca.size();
-    out.Reserve(n);
-    for (int64_t i = 0; i < n; ++i) {
-      out.AppendInt32(date::Year(ca.Int32At(i)));
-    }
-    return out;
+  Datum EvaluateRows(const Table& input, int64_t begin,
+                     int64_t len) const override {
+    const Datum days = a_->EvaluateRows(input, begin, len);
+    GPL_CHECK(days.type() == DataType::kDate)
+        << "YearOf needs a date expression";
+    return Map1(days, [](auto d) -> int32_t {
+      return date::Year(static_cast<int32_t>(d));
+    });
   }
 
   double CostPerRow() const override { return 4.0 + a_->CostPerRow(); }
@@ -448,25 +514,35 @@ class CaseExpr : public Expr {
     return DataType::kInt64;
   }
 
-  Column Evaluate(const Table& input) const override {
-    Column cc = cond_->Evaluate(input);
-    Column ct = then_->Evaluate(input);
-    Column ce = else_->Evaluate(input);
-    const int64_t n = cc.size();
-    if (OutputType(input) == DataType::kFloat64) {
-      Column out(DataType::kFloat64);
-      out.Reserve(n);
-      for (int64_t i = 0; i < n; ++i) {
-        out.AppendDouble(cc.AsInt64(i) != 0 ? ct.AsDouble(i) : ce.AsDouble(i));
-      }
-      return out;
-    }
-    Column out(DataType::kInt64);
-    out.Reserve(n);
-    for (int64_t i = 0; i < n; ++i) {
-      out.AppendInt64(cc.AsInt64(i) != 0 ? ct.AsInt64(i) : ce.AsInt64(i));
-    }
-    return out;
+  Datum EvaluateRows(const Table& input, int64_t begin,
+                     int64_t len) const override {
+    const Datum dc = cond_->EvaluateRows(input, begin, len);
+    const Datum dt = then_->EvaluateRows(input, begin, len);
+    const Datum de = else_->EvaluateRows(input, begin, len);
+    const bool flt = IsFloat(dt.type()) || IsFloat(de.type());
+    // Scalar operands have stride 0.
+    const int64_t sc = dc.is_scalar() ? 0 : 1;
+    const int64_t st = dt.is_scalar() ? 0 : 1;
+    const int64_t se = de.is_scalar() ? 0 : 1;
+    const auto select = [&](auto result_tag) {
+      using R = decltype(result_tag);
+      return VisitTyped(dc, [&](const auto* pc) {
+        return VisitTyped(dt, [&](const auto* pt) {
+          return VisitTyped(de, [&](const auto* pe) {
+            Column out(Datum::DefaultType<R>());
+            std::vector<R>& buf = Buffer<R>(out);
+            buf.resize(static_cast<size_t>(len));
+            R* o = buf.data();
+            for (int64_t i = 0; i < len; ++i) {
+              o[i] = ToInt64(pc[i * sc]) != 0 ? static_cast<R>(pt[i * st])
+                                              : static_cast<R>(pe[i * se]);
+            }
+            return Datum::Own(std::move(out));
+          });
+        });
+      });
+    };
+    return flt ? select(double{}) : select(int64_t{});
   }
 
   double CostPerRow() const override {
@@ -497,24 +573,21 @@ class StartsWithExpr : public Expr {
 
   DataType OutputType(const Table&) const override { return DataType::kInt32; }
 
-  Column Evaluate(const Table& input) const override {
-    Column col = str_->Evaluate(input);
-    GPL_CHECK(col.type() == DataType::kString)
+  Datum EvaluateRows(const Table& input, int64_t begin,
+                     int64_t len) const override {
+    const Datum codes = str_->EvaluateRows(input, begin, len);
+    GPL_CHECK(codes.type() == DataType::kString)
         << "StrStartsWith needs a string expression";
     // Precompute the matching dictionary codes once per batch.
-    const Dictionary& dict = *col.dictionary();
-    std::vector<uint8_t> matches(static_cast<size_t>(dict.size()));
+    const Dictionary& dict = *codes.dictionary();
+    std::vector<int32_t> matches(static_cast<size_t>(dict.size()));
     for (int32_t code = 0; code < dict.size(); ++code) {
       matches[static_cast<size_t>(code)] =
           dict.GetString(code).rfind(prefix_, 0) == 0 ? 1 : 0;
     }
-    Column out(DataType::kInt32);
-    const int64_t n = col.size();
-    out.Reserve(n);
-    for (int64_t i = 0; i < n; ++i) {
-      out.AppendInt32(matches[static_cast<size_t>(col.Int32At(i))]);
-    }
-    return out;
+    return Map1(codes, [&](auto code) -> int32_t {
+      return matches[static_cast<size_t>(code)];
+    });
   }
 
   double CostPerRow() const override { return 2.0 + str_->CostPerRow(); }

@@ -49,15 +49,37 @@ void JoinHashTable::Insert(const std::vector<int64_t>& keys,
   }
 }
 
-void JoinHashTable::Probe(int64_t key, std::vector<int64_t>* rows) const {
+void JoinHashTable::ProbeBatch(const int64_t* keys, int64_t n,
+                               int64_t row_base,
+                               std::vector<int64_t>* probe_rows,
+                               std::vector<int64_t>* build_rows) const {
   if (buckets_.empty()) return;
   const uint64_t mask = buckets_.size() - 1;
-  int64_t entry = buckets_[static_cast<size_t>(HashKey(key) & mask)];
-  while (entry >= 0) {
-    if (entry_keys_[static_cast<size_t>(entry)] == key) {
-      rows->push_back(entry_rows_[static_cast<size_t>(entry)]);
+  constexpr int64_t kBatch = 16;
+  int64_t heads[kBatch];
+  for (int64_t base = 0; base < n; base += kBatch) {
+    const int64_t m = std::min(kBatch, n - base);
+    for (int64_t j = 0; j < m; ++j) {
+      heads[j] = static_cast<int64_t>(HashKey(keys[base + j]) & mask);
+      __builtin_prefetch(&buckets_[static_cast<size_t>(heads[j])]);
     }
-    entry = entry_next_[static_cast<size_t>(entry)];
+    for (int64_t j = 0; j < m; ++j) {
+      heads[j] = buckets_[static_cast<size_t>(heads[j])];
+      if (heads[j] >= 0) {
+        __builtin_prefetch(&entry_keys_[static_cast<size_t>(heads[j])]);
+        __builtin_prefetch(&entry_next_[static_cast<size_t>(heads[j])]);
+      }
+    }
+    for (int64_t j = 0; j < m; ++j) {
+      const int64_t key = keys[base + j];
+      for (int64_t entry = heads[j]; entry >= 0;
+           entry = entry_next_[static_cast<size_t>(entry)]) {
+        if (entry_keys_[static_cast<size_t>(entry)] == key) {
+          probe_rows->push_back(row_base + base + j);
+          build_rows->push_back(entry_rows_[static_cast<size_t>(entry)]);
+        }
+      }
+    }
   }
 }
 

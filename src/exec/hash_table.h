@@ -1,6 +1,7 @@
 #ifndef GPL_EXEC_HASH_TABLE_H_
 #define GPL_EXEC_HASH_TABLE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -33,8 +34,32 @@ class JoinHashTable {
   void Insert(const std::vector<int64_t>& keys,
               const std::vector<uint64_t>& hashes, int64_t row_base);
 
+  /// Calls visit(build_row) for every entry of `key`, in chain order.
+  template <typename Visit>
+  void ForEachMatch(int64_t key, Visit&& visit) const {
+    if (buckets_.empty()) return;
+    const uint64_t mask = buckets_.size() - 1;
+    for (int64_t entry = buckets_[static_cast<size_t>(HashKey(key) & mask)];
+         entry >= 0; entry = entry_next_[static_cast<size_t>(entry)]) {
+      if (entry_keys_[static_cast<size_t>(entry)] == key) {
+        visit(entry_rows_[static_cast<size_t>(entry)]);
+      }
+    }
+  }
+
   /// Appends all build-side matches of `key` to `rows`.
-  void Probe(int64_t key, std::vector<int64_t>* rows) const;
+  void Probe(int64_t key, std::vector<int64_t>* rows) const {
+    ForEachMatch(key, [rows](int64_t row) { rows->push_back(row); });
+  }
+
+  /// Probes keys[0..n) in order and appends one (row_base + i, build row)
+  /// pair per match to probe_rows/build_rows: ascending i, chain order
+  /// within a key — exactly Probe() in a loop. Keys are hashed a batch at a
+  /// time and their buckets and chain heads prefetched before any chain is
+  /// walked, so the random reads of a batch overlap.
+  void ProbeBatch(const int64_t* keys, int64_t n, int64_t row_base,
+                  std::vector<int64_t>* probe_rows,
+                  std::vector<int64_t>* build_rows) const;
 
   /// True if `key` has at least one match.
   bool Contains(int64_t key) const;

@@ -1,5 +1,6 @@
 #include "exec/morsel.h"
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <utility>
@@ -23,56 +24,80 @@ int64_t NumMorsels(int64_t rows) {
 
 }  // namespace
 
-Column EvaluateMorsels(const Expr& expr, const Table& input) {
+Datum EvaluateMorsels(const Expr& expr, const Table& input) {
   const int64_t n = input.num_rows();
-  // Bare column references are a memcpy, not a computation — slicing and
-  // re-concatenating them would only add copies.
+  // Column references borrow and literals broadcast: there is nothing to
+  // compute, so there is nothing to split.
   std::string column_name;
-  if (RunSerial(n) || expr.IsColumnRef(&column_name)) {
-    return expr.Evaluate(input);
+  double literal = 0.0;
+  if (RunSerial(n) || expr.IsColumnRef(&column_name) ||
+      expr.IsLiteral(&literal)) {
+    return expr.EvaluateRows(input, 0, n);
   }
   const int64_t num_morsels = NumMorsels(n);
-  std::vector<std::optional<Column>> parts(static_cast<size_t>(num_morsels));
+  std::vector<std::optional<Datum>> parts(static_cast<size_t>(num_morsels));
   ParallelFor(0, n, kMorselRows, [&](int64_t b, int64_t e) {
     parts[static_cast<size_t>(b / kMorselRows)] =
-        expr.Evaluate(input.Slice(b, e - b));
+        expr.EvaluateRows(input, b, e - b);
   });
-  Column out = std::move(*parts[0]);
+  Column out = std::move(*parts[0]).ToColumn();
   out.Reserve(n);
   for (int64_t m = 1; m < num_morsels; ++m) {
-    GPL_CHECK_OK(out.AppendColumn(*parts[static_cast<size_t>(m)]));
+    GPL_CHECK_OK(out.AppendColumn(
+        std::move(*parts[static_cast<size_t>(m)]).ToColumn()));
   }
-  return out;
+  return Datum::Own(std::move(out));
 }
 
-std::vector<int64_t> SelectIndices(const Expr& predicate, const Table& input) {
-  const int64_t n = input.num_rows();
-  if (RunSerial(n)) {
-    const Column flags = predicate.Evaluate(input);
-    std::vector<int64_t> indices;
+namespace {
+
+/// Appends base + i for every row i whose flag is nonzero (AsInt64 test),
+/// branch-free.
+void AppendSelected(const Datum& flags, int64_t base,
+                    std::vector<int64_t>* out) {
+  const int64_t n = flags.size();
+  VisitTyped(flags, [&](const auto* f) {
+    const int64_t stride = flags.is_scalar() ? 0 : 1;
+    const size_t start = out->size();
+    out->resize(start + static_cast<size_t>(n));
+    int64_t* o = out->data() + start;
+    int64_t k = 0;
     for (int64_t i = 0; i < n; ++i) {
-      if (flags.Int32At(i) != 0) indices.push_back(i);
+      o[k] = base + i;
+      k += static_cast<int64_t>(f[i * stride]) != 0 ? 1 : 0;
     }
+    out->resize(start + static_cast<size_t>(k));
+  });
+}
+
+}  // namespace
+
+std::vector<int64_t> SelectRows(
+    int64_t n, const std::function<Datum(int64_t, int64_t)>& flags) {
+  std::vector<int64_t> indices;
+  if (RunSerial(n)) {
+    AppendSelected(flags(0, n), 0, &indices);
     return indices;
   }
   const int64_t num_morsels = NumMorsels(n);
   std::vector<std::vector<int64_t>> parts(static_cast<size_t>(num_morsels));
   ParallelFor(0, n, kMorselRows, [&](int64_t b, int64_t e) {
-    const Column flags = predicate.Evaluate(input.Slice(b, e - b));
-    std::vector<int64_t>& out = parts[static_cast<size_t>(b / kMorselRows)];
-    const int64_t len = e - b;
-    for (int64_t i = 0; i < len; ++i) {
-      if (flags.Int32At(i) != 0) out.push_back(b + i);
-    }
+    AppendSelected(flags(b, e - b), b,
+                   &parts[static_cast<size_t>(b / kMorselRows)]);
   });
   size_t total = 0;
   for (const auto& part : parts) total += part.size();
-  std::vector<int64_t> indices;
   indices.reserve(total);
   for (const auto& part : parts) {
     indices.insert(indices.end(), part.begin(), part.end());
   }
   return indices;
+}
+
+std::vector<int64_t> SelectIndices(const Expr& predicate, const Table& input) {
+  return SelectRows(input.num_rows(), [&](int64_t begin, int64_t len) {
+    return predicate.EvaluateRows(input, begin, len);
+  });
 }
 
 std::vector<int64_t> EvaluateJoinKeys(const Table& input,
@@ -81,29 +106,35 @@ std::vector<int64_t> EvaluateJoinKeys(const Table& input,
       << "joins support one or two key expressions";
   const int64_t n = input.num_rows();
   std::vector<int64_t> keys(static_cast<size_t>(n));
-  const auto fill = [&](const Table& slice, int64_t base) {
-    Column k0 = key_exprs[0]->Evaluate(slice);
-    const int64_t len = k0.size();
-    if (key_exprs.size() == 1) {
-      for (int64_t i = 0; i < len; ++i) {
-        keys[static_cast<size_t>(base + i)] = k0.AsInt64(i);
+  // Keys take AsInt64 semantics (static_cast); scalars have stride 0.
+  const auto fill = [&](int64_t b, int64_t e) {
+    const int64_t len = e - b;
+    int64_t* out = keys.data() + b;
+    const Datum k0 = key_exprs[0]->EvaluateRows(input, b, len);
+    const int64_t s0 = k0.is_scalar() ? 0 : 1;
+    VisitTyped(k0, [&](const auto* p0) {
+      if (key_exprs.size() == 1) {
+        for (int64_t i = 0; i < len; ++i) {
+          out[i] = static_cast<int64_t>(p0[i * s0]);
+        }
+        return;
       }
-    } else {
-      Column k1 = key_exprs[1]->Evaluate(slice);
-      for (int64_t i = 0; i < len; ++i) {
-        keys[static_cast<size_t>(base + i)] = JoinHashTable::PackKeys(
-            static_cast<int32_t>(k0.AsInt64(i)),
-            static_cast<int32_t>(k1.AsInt64(i)));
-      }
-    }
+      const Datum k1 = key_exprs[1]->EvaluateRows(input, b, len);
+      const int64_t s1 = k1.is_scalar() ? 0 : 1;
+      VisitTyped(k1, [&](const auto* p1) {
+        for (int64_t i = 0; i < len; ++i) {
+          out[i] = JoinHashTable::PackKeys(
+              static_cast<int32_t>(static_cast<int64_t>(p0[i * s0])),
+              static_cast<int32_t>(static_cast<int64_t>(p1[i * s1])));
+        }
+      });
+    });
   };
   if (RunSerial(n)) {
-    fill(input, 0);
-    return keys;
+    fill(0, n);
+  } else {
+    ParallelFor(0, n, kMorselRows, fill);
   }
-  ParallelFor(0, n, kMorselRows, [&](int64_t b, int64_t e) {
-    fill(input.Slice(b, e - b), b);
-  });
   return keys;
 }
 
@@ -112,15 +143,9 @@ void ProbeAll(const JoinHashTable& table, const std::vector<int64_t>& keys,
               std::vector<int64_t>* build_idx) {
   const int64_t n = static_cast<int64_t>(keys.size());
   if (RunSerial(n)) {
-    std::vector<int64_t> matches;
-    for (int64_t i = 0; i < n; ++i) {
-      matches.clear();
-      table.Probe(keys[static_cast<size_t>(i)], &matches);
-      for (int64_t b : matches) {
-        probe_idx->push_back(i);
-        build_idx->push_back(b);
-      }
-    }
+    probe_idx->reserve(probe_idx->size() + static_cast<size_t>(n));
+    build_idx->reserve(build_idx->size() + static_cast<size_t>(n));
+    table.ProbeBatch(keys.data(), n, 0, probe_idx, build_idx);
     return;
   }
   const int64_t num_morsels = NumMorsels(n);
@@ -131,15 +156,9 @@ void ProbeAll(const JoinHashTable& table, const std::vector<int64_t>& keys,
   std::vector<MatchPart> parts(static_cast<size_t>(num_morsels));
   ParallelFor(0, n, kMorselRows, [&](int64_t b, int64_t e) {
     MatchPart& part = parts[static_cast<size_t>(b / kMorselRows)];
-    std::vector<int64_t> matches;
-    for (int64_t i = b; i < e; ++i) {
-      matches.clear();
-      table.Probe(keys[static_cast<size_t>(i)], &matches);
-      for (int64_t m : matches) {
-        part.probe.push_back(i);
-        part.build.push_back(m);
-      }
-    }
+    part.probe.reserve(static_cast<size_t>(e - b));
+    part.build.reserve(static_cast<size_t>(e - b));
+    table.ProbeBatch(keys.data() + b, e - b, b, &part.probe, &part.build);
   });
   size_t total = 0;
   for (const MatchPart& part : parts) total += part.probe.size();

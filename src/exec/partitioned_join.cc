@@ -4,28 +4,11 @@
 
 #include "common/logging.h"
 #include "common/math_util.h"
+#include "exec/morsel.h"
 
 namespace gpl {
 
 namespace {
-
-std::vector<int64_t> PackedKeys(const Table& input,
-                                const std::vector<ExprPtr>& key_exprs) {
-  GPL_CHECK(!key_exprs.empty() && key_exprs.size() <= 2);
-  Column k0 = key_exprs[0]->Evaluate(input);
-  const int64_t n = k0.size();
-  std::vector<int64_t> keys(static_cast<size_t>(n));
-  if (key_exprs.size() == 1) {
-    for (int64_t i = 0; i < n; ++i) keys[static_cast<size_t>(i)] = k0.AsInt64(i);
-  } else {
-    Column k1 = key_exprs[1]->Evaluate(input);
-    for (int64_t i = 0; i < n; ++i) {
-      keys[static_cast<size_t>(i)] = JoinHashTable::PackKeys(
-          static_cast<int32_t>(k0.AsInt64(i)), static_cast<int32_t>(k1.AsInt64(i)));
-    }
-  }
-  return keys;
-}
 
 class PartitionedBuildKernel : public Kernel {
  public:
@@ -47,7 +30,7 @@ class PartitionedBuildKernel : public Kernel {
   }
 
   Result<Table> Process(const Table& input) override {
-    const std::vector<int64_t> keys = PackedKeys(input, key_exprs_);
+    const std::vector<int64_t> keys = EvaluateJoinKeys(input, key_exprs_);
     const int num_partitions = state_->num_partitions();
     std::vector<std::vector<int64_t>> partition_rows(
         static_cast<size_t>(num_partitions));
@@ -109,20 +92,17 @@ class PartitionedProbeKernel : public Kernel {
 
   Result<Table> Process(const Table& input) override {
     PrepareTiming();
-    const std::vector<int64_t> keys = PackedKeys(input, key_exprs_);
+    const std::vector<int64_t> keys = EvaluateJoinKeys(input, key_exprs_);
     std::vector<int64_t> probe_idx;
     std::vector<int> partition_of;
     std::vector<int64_t> build_idx;
-    std::vector<int64_t> matches;
     for (size_t i = 0; i < keys.size(); ++i) {
       const int p = state_->PartitionOf(keys[i]);
-      matches.clear();
-      state_->table(p).Probe(keys[i], &matches);
-      for (int64_t b : matches) {
+      state_->table(p).ForEachMatch(keys[i], [&](int64_t b) {
         probe_idx.push_back(static_cast<int64_t>(i));
         partition_of.push_back(p);
         build_idx.push_back(b);
-      }
+      });
     }
     Table out = input.Gather(probe_idx);
     for (const std::string& name : build_payload_) {

@@ -1,7 +1,9 @@
 #include "exec/primitives.h"
 
 #include <algorithm>
+#include <array>
 #include <limits>
+#include <numeric>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -43,7 +45,8 @@ class ProjectKernel : public Kernel {
   Result<Table> Process(const Table& input) override {
     Table out(input.name());
     for (const ProjectedColumn& c : columns_) {
-      GPL_RETURN_NOT_OK(out.AddColumn(c.name, EvaluateMorsels(*c.expr, input)));
+      GPL_RETURN_NOT_OK(
+          out.AddColumn(c.name, EvaluateMorsels(*c.expr, input).ToColumn()));
     }
     return out;
   }
@@ -151,13 +154,110 @@ ExactFloat64Sum::Canonical DecodeSumMeta(int64_t meta) {
   return c;
 }
 
+/// Dense ids for group-key tuples, in first-seen order: an open-addressing
+/// hash index (linear probing, load <= 1/2) over a flat row-major key store.
+class GroupIndex {
+ public:
+  explicit GroupIndex(size_t width) : width_(width) {}
+
+  int32_t size() const { return num_groups_; }
+  const int64_t* key(int32_t id) const {
+    return keys_.data() + static_cast<size_t>(id) * width_;
+  }
+
+  /// ids[i] = the id of row i of `row_keys` (n rows of width() keys each),
+  /// inserting unseen tuples.
+  void Resolve(const int64_t* row_keys, int64_t n, int32_t* ids) {
+    if (width_ == 0) {  // global aggregate: one group
+      num_groups_ = 1;
+      std::fill(ids, ids + n, 0);
+      return;
+    }
+    for (int64_t i = 0; i < n; ++i) {
+      ids[i] = FindOrInsert(row_keys + static_cast<size_t>(i) * width_);
+    }
+  }
+
+  /// All ids, ordered by ascending lexicographic key tuple.
+  std::vector<int32_t> SortedIds() const {
+    std::vector<int32_t> ids(static_cast<size_t>(num_groups_));
+    std::iota(ids.begin(), ids.end(), 0);
+    std::sort(ids.begin(), ids.end(), [&](int32_t x, int32_t y) {
+      return std::lexicographical_compare(key(x), key(x) + width_, key(y),
+                                          key(y) + width_);
+    });
+    return ids;
+  }
+
+ private:
+  // Callers guarantee width_ >= 1.
+  uint64_t Hash(const int64_t* k) const {
+    uint64_t h = static_cast<uint64_t>(k[0]);
+    for (size_t c = 1; c < width_; ++c) {
+      h = h * 0x9e3779b97f4a7c15ULL + static_cast<uint64_t>(k[c]);
+    }
+    return JoinHashTable::HashKey(static_cast<int64_t>(h));
+  }
+
+  int32_t FindOrInsert(const int64_t* k) {
+    if (2 * (static_cast<size_t>(num_groups_) + 1) > slots_.size()) Grow();
+    const uint64_t h = Hash(k);
+    const size_t mask = slots_.size() - 1;
+    for (size_t s = h & mask;; s = (s + 1) & mask) {
+      const int32_t id = slots_[s];
+      if (id < 0) {
+        slots_[s] = num_groups_;
+        keys_.insert(keys_.end(), k, k + width_);
+        hashes_.push_back(h);
+        return num_groups_++;
+      }
+      if (hashes_[static_cast<size_t>(id)] == h &&
+          std::equal(k, k + width_, key(id))) {
+        return id;
+      }
+    }
+  }
+
+  void Grow() {
+    slots_.assign(std::max<size_t>(64, 2 * slots_.size()), -1);
+    const size_t mask = slots_.size() - 1;
+    for (int32_t id = 0; id < num_groups_; ++id) {
+      size_t s = hashes_[static_cast<size_t>(id)] & mask;
+      while (slots_[s] >= 0) s = (s + 1) & mask;
+      slots_[s] = id;
+    }
+  }
+
+  size_t width_;
+  int32_t num_groups_ = 0;
+  std::vector<int64_t> keys_;    ///< width_ keys per group id
+  std::vector<uint64_t> hashes_;  ///< per group id
+  std::vector<int32_t> slots_;    ///< group id per slot, -1 empty
+};
+
+/// Typed pointer to a partial-state column, or an error naming it.
+template <typename T>
+Result<const T*> StateColumn(const Table& partial, const std::string& name) {
+  const int64_t idx = partial.ColumnIndex(name);
+  const DataType want = Datum::DefaultType<T>();
+  if (idx < 0 || partial.ColumnAt(idx).type() != want) {
+    return Status::InvalidArgument("partial aggregate lacks " +
+                                   std::string(DataTypeToString(want)) +
+                                   " column " + name);
+  }
+  return Datum::Borrow(partial.ColumnAt(idx), 0, partial.num_rows())
+      .template data<T>();
+}
+
 class AggregateKernel : public Kernel {
  public:
   AggregateKernel(std::vector<ProjectedColumn> group_by,
                   std::vector<AggSpec> aggregates, AggregatePhase phase)
       : group_by_(std::move(group_by)),
         aggregates_(std::move(aggregates)),
-        phase_(phase) {
+        phase_(phase),
+        groups_(group_by_.size()),
+        states_(aggregates_.size()) {
     double cost = 0.0;
     for (const ProjectedColumn& g : group_by_) cost += g.expr->CostPerRow();
     for (const AggSpec& a : aggregates_) {
@@ -170,116 +270,121 @@ class AggregateKernel : public Kernel {
     const int64_t n = input.num_rows();
     if (n == 0) return Table();
 
-    // Evaluate group keys and aggregate arguments once per batch. The
-    // evaluation is the expensive part and is morsel-parallel; the
-    // accumulation loop below stays serial in row order. Double sums go
-    // through an exact superaccumulator (exec/exact_sum.h), so the
+    // Group ids first (key evaluation is morsel-parallel), then one typed
+    // column loop per aggregate over those ids, serial in row order. Double
+    // sums go through an exact superaccumulator (exec/exact_sum.h), so the
     // accumulated state — and the rounded result — is independent of row
     // order and of how rows are partitioned across shards.
-    std::vector<Column> group_cols;
-    group_cols.reserve(group_by_.size());
+    std::vector<Datum> keys;
+    keys.reserve(group_by_.size());
     for (const ProjectedColumn& g : group_by_) {
-      group_cols.push_back(EvaluateMorsels(*g.expr, input));
+      keys.push_back(EvaluateMorsels(*g.expr, input));
     }
-    if (group_types_.empty()) {
-      for (const Column& c : group_cols) {
-        group_types_.push_back(c.type());
-        group_dicts_.push_back(c.dictionary());
+    const std::vector<int32_t> ids = ResolveGroups(keys, n);
+    for (size_t a = 0; a < aggregates_.size(); ++a) {
+      const AggSpec& spec = aggregates_[a];
+      AggState& st = states_[a];
+      if (spec.func != AggSpec::kMin && spec.func != AggSpec::kMax) {
+        for (int64_t i = 0; i < n; ++i) {
+          st.counts[static_cast<size_t>(ids[i])] += 1;
+        }
       }
-    }
-    std::vector<Column> agg_cols;
-    agg_cols.reserve(aggregates_.size());
-    for (const AggSpec& a : aggregates_) {
-      if (a.func == AggSpec::kCount || a.arg == nullptr) {
-        agg_cols.emplace_back(DataType::kInt64);  // placeholder, unused
-      } else {
-        agg_cols.push_back(EvaluateMorsels(*a.arg, input));
-      }
-    }
-
-    std::vector<int64_t> key(group_by_.size());
-    for (int64_t i = 0; i < n; ++i) {
-      for (size_t g = 0; g < group_cols.size(); ++g) {
-        key[g] = group_cols[g].AsInt64(i);
-      }
-      Accumulators& acc = GroupAt(key);
-      for (size_t a = 0; a < aggregates_.size(); ++a) {
-        switch (aggregates_[a].func) {
+      if (spec.func == AggSpec::kCount) continue;
+      GPL_CHECK(spec.arg != nullptr)
+          << spec.output_name << " needs an argument";
+      const Datum arg = EvaluateMorsels(*spec.arg, input);
+      const int64_t stride = arg.is_scalar() ? 0 : 1;
+      VisitTyped(arg, [&](const auto* v) {
+        switch (spec.func) {
           case AggSpec::kSum:
           case AggSpec::kAvg:
-            acc.sums[a].Add(agg_cols[a].AsDouble(i));
+            for (int64_t i = 0; i < n; ++i) {
+              st.sums[static_cast<size_t>(ids[i])].Add(
+                  static_cast<double>(v[i * stride]));
+            }
             break;
-          case AggSpec::kCount:
-            break;  // counts only
           case AggSpec::kMin:
-            acc.values[a] = std::min(acc.values[a], agg_cols[a].AsDouble(i));
+            for (int64_t i = 0; i < n; ++i) {
+              double& m = st.values[static_cast<size_t>(ids[i])];
+              m = std::min(m, static_cast<double>(v[i * stride]));
+            }
             break;
           case AggSpec::kMax:
-            acc.values[a] = std::max(acc.values[a], agg_cols[a].AsDouble(i));
+            for (int64_t i = 0; i < n; ++i) {
+              double& m = st.values[static_cast<size_t>(ids[i])];
+              m = std::max(m, static_cast<double>(v[i * stride]));
+            }
+            break;
+          case AggSpec::kCount:
             break;
         }
-        acc.counts[a] += 1;
-      }
+      });
     }
     return Table();  // partial aggregation; emitted at Finish()
   }
 
   /// Merges one partial-aggregate table (the kPartial wire format) into the
-  /// accumulated state. Used by CombinePartialAggregates().
+  /// accumulated state. Used by CombinePartialAggregates(). Every state
+  /// column is resolved to a typed pointer once per partial.
   Status IngestPartial(const Table& partial) {
     const int64_t n = partial.num_rows();
     if (n == 0) return Status::OK();  // empty shard: nothing to merge
-    std::vector<const Column*> group_cols;
+    std::vector<Datum> keys;
+    keys.reserve(group_by_.size());
     for (const ProjectedColumn& g : group_by_) {
-      group_cols.push_back(&partial.GetColumn(g.name));
-    }
-    if (group_types_.empty()) {
-      for (const Column* c : group_cols) {
-        group_types_.push_back(c->type());
-        group_dicts_.push_back(c->dictionary());
+      const int64_t idx = partial.ColumnIndex(g.name);
+      if (idx < 0) {
+        return Status::InvalidArgument("partial aggregate lacks group column " +
+                                       g.name);
       }
+      keys.push_back(Datum::Borrow(partial.ColumnAt(idx), 0, n));
     }
-    std::vector<int64_t> key(group_by_.size());
-    for (int64_t i = 0; i < n; ++i) {
-      for (size_t g = 0; g < group_cols.size(); ++g) {
-        key[g] = group_cols[g]->AsInt64(i);
-      }
-      Accumulators& acc = GroupAt(key);
-      for (size_t a = 0; a < aggregates_.size(); ++a) {
-        switch (aggregates_[a].func) {
-          case AggSpec::kSum:
-          case AggSpec::kAvg:
-          case AggSpec::kCount:
-            // Only these consume counts downstream (kCount's output, kAvg's
-            // divide); min/max partials carry no count column at all.
-            acc.counts[a] += partial.GetColumn(PartialCountName(a)).Int64At(i);
-            break;
-          case AggSpec::kMin:
-          case AggSpec::kMax:
-            break;
-        }
-        switch (aggregates_[a].func) {
-          case AggSpec::kSum:
-          case AggSpec::kAvg: {
-            ExactFloat64Sum::Canonical c =
-                DecodeSumMeta(partial.GetColumn(PartialMetaName(a)).Int64At(i));
-            for (int j = 0; j < ExactFloat64Sum::kDigits; ++j) {
-              c.digits[static_cast<size_t>(j)] = static_cast<uint64_t>(
-                  partial.GetColumn(PartialDigitName(a, j)).Int64At(i));
-            }
-            acc.sums[a].AddCanonical(c);
-            break;
+    const std::vector<int32_t> ids = ResolveGroups(keys, n);
+    for (size_t a = 0; a < aggregates_.size(); ++a) {
+      AggState& st = states_[a];
+      switch (aggregates_[a].func) {
+        case AggSpec::kSum:
+        case AggSpec::kAvg: {
+          GPL_ASSIGN_OR_RETURN(
+              const int64_t* meta,
+              StateColumn<int64_t>(partial, PartialMetaName(a)));
+          std::array<const int64_t*, ExactFloat64Sum::kDigits> digits;
+          for (int j = 0; j < ExactFloat64Sum::kDigits; ++j) {
+            GPL_ASSIGN_OR_RETURN(
+                digits[static_cast<size_t>(j)],
+                StateColumn<int64_t>(partial, PartialDigitName(a, j)));
           }
-          case AggSpec::kCount:
-            break;
-          case AggSpec::kMin:
-            acc.values[a] = std::min(
-                acc.values[a], partial.GetColumn(PartialValueName(a)).DoubleAt(i));
-            break;
-          case AggSpec::kMax:
-            acc.values[a] = std::max(
-                acc.values[a], partial.GetColumn(PartialValueName(a)).DoubleAt(i));
-            break;
+          for (int64_t i = 0; i < n; ++i) {
+            ExactFloat64Sum::Canonical c = DecodeSumMeta(meta[i]);
+            for (size_t j = 0; j < digits.size(); ++j) {
+              c.digits[j] = static_cast<uint64_t>(digits[j][i]);
+            }
+            st.sums[static_cast<size_t>(ids[i])].AddCanonical(c);
+          }
+          [[fallthrough]];
+        }
+        case AggSpec::kCount: {
+          // Only these consume counts downstream (kCount's output, kAvg's
+          // divide); min/max partials carry no count column at all.
+          GPL_ASSIGN_OR_RETURN(
+              const int64_t* counts,
+              StateColumn<int64_t>(partial, PartialCountName(a)));
+          for (int64_t i = 0; i < n; ++i) {
+            st.counts[static_cast<size_t>(ids[i])] += counts[i];
+          }
+          break;
+        }
+        case AggSpec::kMin:
+        case AggSpec::kMax: {
+          GPL_ASSIGN_OR_RETURN(
+              const double* values,
+              StateColumn<double>(partial, PartialValueName(a)));
+          const bool is_min = aggregates_[a].func == AggSpec::kMin;
+          for (int64_t i = 0; i < n; ++i) {
+            double& m = st.values[static_cast<size_t>(ids[i])];
+            m = is_min ? std::min(m, values[i]) : std::max(m, values[i]);
+          }
+          break;
         }
       }
     }
@@ -288,119 +393,174 @@ class AggregateKernel : public Kernel {
 
   Result<Table> Finish() override {
     Table out("aggregate");
-    // Group columns (final form in both phases, so partials round-trip
-    // through the same AsInt64 key extraction).
+    // Groups are emitted in ascending key order (partials round-trip through
+    // the same AsInt64 key extraction, so both phases agree).
+    const std::vector<int32_t> order = groups_.SortedIds();
+    const size_t num_groups = order.size();
     for (size_t g = 0; g < group_by_.size(); ++g) {
       const DataType type =
           group_types_.empty() ? DataType::kInt64 : group_types_[g];
       Column col(type, group_dicts_.empty() ? nullptr : group_dicts_[g]);
-      for (const auto& [key, acc] : groups_) {
-        switch (type) {
-          case DataType::kInt32:
-          case DataType::kDate:
-          case DataType::kString:
-            col.AppendInt32(static_cast<int32_t>(key[g]));
-            break;
-          case DataType::kInt64:
-            col.AppendInt64(key[g]);
-            break;
-          case DataType::kFloat64:
-            col.AppendDouble(static_cast<double>(key[g]));
-            break;
-        }
+      const auto key = [&](size_t k) { return groups_.key(order[k])[g]; };
+      switch (type) {
+        case DataType::kInt32:
+        case DataType::kDate:
+        case DataType::kString:
+          Fill(&col.data32(), num_groups,
+               [&](size_t k) { return static_cast<int32_t>(key(k)); });
+          break;
+        case DataType::kInt64:
+          Fill(&col.data64(), num_groups, key);
+          break;
+        case DataType::kFloat64:
+          Fill(&col.dataf(), num_groups,
+               [&](size_t k) { return static_cast<double>(key(k)); });
+          break;
       }
       GPL_RETURN_NOT_OK(out.AddColumn(group_by_[g].name, std::move(col)));
     }
-    if (phase_ == AggregatePhase::kPartial) return FinishPartial(std::move(out));
+    if (phase_ == AggregatePhase::kPartial) {
+      return FinishPartial(order, std::move(out));
+    }
     // Aggregate columns.
     for (size_t a = 0; a < aggregates_.size(); ++a) {
       const AggSpec& spec = aggregates_[a];
+      const AggState& st = states_[a];
       if (spec.func == AggSpec::kCount) {
         Column col(DataType::kInt64);
-        for (const auto& [key, acc] : groups_) col.AppendInt64(acc.counts[a]);
+        Fill(&col.data64(), num_groups, [&](size_t k) {
+          return st.counts[static_cast<size_t>(order[k])];
+        });
         GPL_RETURN_NOT_OK(out.AddColumn(spec.output_name, std::move(col)));
-      } else {
-        Column col(DataType::kFloat64);
-        for (const auto& [key, acc] : groups_) {
-          double v;
-          if (spec.func == AggSpec::kMin || spec.func == AggSpec::kMax) {
-            v = acc.values[a];
-          } else {
-            v = acc.sums[a].Round();
-          }
-          if (spec.func == AggSpec::kAvg && acc.counts[a] > 0) {
-            v /= static_cast<double>(acc.counts[a]);
-          }
-          col.AppendDouble(v);
-        }
-        GPL_RETURN_NOT_OK(out.AddColumn(spec.output_name, std::move(col)));
+        continue;
       }
+      Column col(DataType::kFloat64);
+      Fill(&col.dataf(), num_groups, [&](size_t k) {
+        const size_t id = static_cast<size_t>(order[k]);
+        if (spec.func == AggSpec::kMin || spec.func == AggSpec::kMax) {
+          return st.values[id];
+        }
+        double v = st.sums[id].Round();
+        if (spec.func == AggSpec::kAvg && st.counts[id] > 0) {
+          v /= static_cast<double>(st.counts[id]);
+        }
+        return v;
+      });
+      GPL_RETURN_NOT_OK(out.AddColumn(spec.output_name, std::move(col)));
     }
     return out;
   }
 
   void Reset() override {
-    groups_.clear();
+    groups_ = GroupIndex(group_by_.size());
+    states_.assign(aggregates_.size(), AggState());
     group_types_.clear();
     group_dicts_.clear();
   }
 
  private:
-  struct Accumulators {
-    std::vector<ExactFloat64Sum> sums;  ///< kSum/kAvg exact state
-    std::vector<double> values;         ///< kMin/kMax running value
+  /// Per-aggregate accumulators, indexed by group id. Each aggregate keeps
+  /// only what it needs: sums for kSum/kAvg, running values for kMin/kMax,
+  /// counts for kSum/kAvg/kCount.
+  struct AggState {
+    std::vector<ExactFloat64Sum> sums;
+    std::vector<double> values;
     std::vector<int64_t> counts;
   };
 
-  Accumulators& GroupAt(const std::vector<int64_t>& key) {
-    Accumulators& acc = groups_[key];
-    if (acc.counts.empty()) {
-      acc.sums.resize(aggregates_.size());
-      acc.values.assign(aggregates_.size(), 0.0);
-      acc.counts.assign(aggregates_.size(), 0);
-      for (size_t a = 0; a < aggregates_.size(); ++a) {
-        if (aggregates_[a].func == AggSpec::kMin) {
-          acc.values[a] = std::numeric_limits<double>::infinity();
-        } else if (aggregates_[a].func == AggSpec::kMax) {
-          acc.values[a] = -std::numeric_limits<double>::infinity();
-        }
+  template <typename T, typename F>
+  static void Fill(std::vector<T>* out, size_t n, F value) {
+    out->resize(n);
+    for (size_t k = 0; k < n; ++k) (*out)[k] = value(k);
+  }
+
+  /// Group id of every row, given the key columns of the batch; records the
+  /// group schema on first use and sizes the accumulators for new groups.
+  std::vector<int32_t> ResolveGroups(const std::vector<Datum>& keys,
+                                     int64_t n) {
+    if (group_types_.empty()) {
+      for (const Datum& k : keys) {
+        group_types_.push_back(k.type());
+        group_dicts_.push_back(k.dictionary());
       }
     }
-    return acc;
+    // Row-major int64 key tuples (AsInt64 semantics; scalars have stride 0).
+    const size_t width = keys.size();
+    std::vector<int64_t> row_keys(static_cast<size_t>(n) * width);
+    for (size_t g = 0; g < width; ++g) {
+      const int64_t stride = keys[g].is_scalar() ? 0 : 1;
+      VisitTyped(keys[g], [&](const auto* v) {
+        for (int64_t i = 0; i < n; ++i) {
+          row_keys[static_cast<size_t>(i) * width + g] =
+              static_cast<int64_t>(v[i * stride]);
+        }
+      });
+    }
+    std::vector<int32_t> ids(static_cast<size_t>(n));
+    groups_.Resolve(row_keys.data(), n, ids.data());
+    const size_t num_groups = static_cast<size_t>(groups_.size());
+    for (size_t a = 0; a < aggregates_.size(); ++a) {
+      AggState& st = states_[a];
+      switch (aggregates_[a].func) {
+        case AggSpec::kSum:
+        case AggSpec::kAvg:
+          st.sums.resize(num_groups);
+          [[fallthrough]];
+        case AggSpec::kCount:
+          st.counts.resize(num_groups, 0);
+          break;
+        case AggSpec::kMin:
+          st.values.resize(num_groups,
+                           std::numeric_limits<double>::infinity());
+          break;
+        case AggSpec::kMax:
+          st.values.resize(num_groups,
+                           -std::numeric_limits<double>::infinity());
+          break;
+      }
+    }
+    return ids;
   }
 
   // Appends the per-aggregate state columns to the group columns already in
-  // `out`, producing the partial wire format.
-  Result<Table> FinishPartial(Table out) {
+  // `out`, producing the partial wire format; `order` is the group order.
+  Result<Table> FinishPartial(const std::vector<int32_t>& order, Table out) {
+    const size_t num_groups = order.size();
     for (size_t a = 0; a < aggregates_.size(); ++a) {
       const AggSpec& spec = aggregates_[a];
+      const AggState& st = states_[a];
       if (spec.func == AggSpec::kMin || spec.func == AggSpec::kMax) {
         // No count column: min/max combine by value alone, and Finish never
         // consults a count for them — shipping one would be pure gather
         // traffic.
         Column val(DataType::kFloat64);
-        for (const auto& [key, acc] : groups_) val.AppendDouble(acc.values[a]);
+        Fill(&val.dataf(), num_groups, [&](size_t k) {
+          return st.values[static_cast<size_t>(order[k])];
+        });
         GPL_RETURN_NOT_OK(out.AddColumn(PartialValueName(a), std::move(val)));
         continue;
       }
       Column counts(DataType::kInt64);
-      for (const auto& [key, acc] : groups_) counts.AppendInt64(acc.counts[a]);
+      Fill(&counts.data64(), num_groups, [&](size_t k) {
+        return st.counts[static_cast<size_t>(order[k])];
+      });
       GPL_RETURN_NOT_OK(out.AddColumn(PartialCountName(a), std::move(counts)));
       if (spec.func != AggSpec::kCount) {
         std::vector<ExactFloat64Sum::Canonical> canon;
-        canon.reserve(groups_.size());
-        for (const auto& [key, acc] : groups_) {
-          canon.push_back(acc.sums[a].ToCanonical());
+        canon.reserve(num_groups);
+        for (int32_t id : order) {
+          canon.push_back(st.sums[static_cast<size_t>(id)].ToCanonical());
         }
         Column meta(DataType::kInt64);
-        for (const auto& c : canon) meta.AppendInt64(EncodeSumMeta(c));
+        Fill(&meta.data64(), num_groups,
+             [&](size_t k) { return EncodeSumMeta(canon[k]); });
         GPL_RETURN_NOT_OK(out.AddColumn(PartialMetaName(a), std::move(meta)));
         for (int j = 0; j < ExactFloat64Sum::kDigits; ++j) {
           Column digit(DataType::kInt64);
-          for (const auto& c : canon) {
-            digit.AppendInt64(
-                static_cast<int64_t>(c.digits[static_cast<size_t>(j)]));
-          }
+          Fill(&digit.data64(), num_groups, [&](size_t k) {
+            return static_cast<int64_t>(
+                canon[k].digits[static_cast<size_t>(j)]);
+          });
           GPL_RETURN_NOT_OK(
               out.AddColumn(PartialDigitName(a, j), std::move(digit)));
         }
@@ -412,8 +572,8 @@ class AggregateKernel : public Kernel {
   std::vector<ProjectedColumn> group_by_;
   std::vector<AggSpec> aggregates_;
   AggregatePhase phase_;
-  // std::map gives deterministic (sorted) group order.
-  std::map<std::vector<int64_t>, Accumulators> groups_;
+  GroupIndex groups_;
+  std::vector<AggState> states_;  ///< one per aggregate
   std::vector<DataType> group_types_;
   std::vector<std::shared_ptr<Dictionary>> group_dicts_;
 };
@@ -559,7 +719,7 @@ KernelPtr MakeSortKernel(std::vector<SortKey> keys) {
 // ---------------------------------------------------------------------------
 
 Column ComputeFlags(const Table& input, const ExprPtr& predicate) {
-  return EvaluateMorsels(*predicate, input);
+  return EvaluateMorsels(*predicate, input).ToColumn();
 }
 
 Column PrefixSum(const Column& flags, int64_t* total) {
@@ -590,10 +750,10 @@ Column PrefixSum(const Column& flags, int64_t* total) {
     bases[static_cast<size_t>(m) + 1] =
         bases[static_cast<size_t>(m)] + counts[static_cast<size_t>(m)];
   }
-  out.data32().resize(static_cast<size_t>(n));
+  std::vector<int32_t>& data = out.data32();
+  data.resize(static_cast<size_t>(n));
   ParallelFor(0, n, kMorselRows, [&](int64_t b, int64_t e) {
     int32_t running = bases[static_cast<size_t>(b / kMorselRows)];
-    std::vector<int32_t>& data = out.data32();
     for (int64_t i = b; i < e; ++i) {
       data[static_cast<size_t>(i)] = running;
       running += flags.Int32At(i) != 0 ? 1 : 0;
@@ -604,33 +764,12 @@ Column PrefixSum(const Column& flags, int64_t* total) {
 }
 
 Table ScatterRows(const Table& input, const Column& flags, const Column& offsets) {
-  const int64_t n = flags.size();
-  GPL_CHECK(offsets.size() == n);
+  GPL_CHECK(offsets.size() == flags.size());
   // offsets[i] is the output slot; gathering the selected rows in input
   // order reproduces the scatter result.
-  if (CurrentHostParallelism() <= 1 || n < 2 * kMorselRows) {
-    std::vector<int64_t> indices;
-    for (int64_t i = 0; i < n; ++i) {
-      if (flags.Int32At(i) != 0) indices.push_back(i);
-    }
-    return input.Gather(indices);
-  }
-  const int64_t num_morsels = (n + kMorselRows - 1) / kMorselRows;
-  std::vector<std::vector<int64_t>> parts(static_cast<size_t>(num_morsels));
-  ParallelFor(0, n, kMorselRows, [&](int64_t b, int64_t e) {
-    std::vector<int64_t>& part = parts[static_cast<size_t>(b / kMorselRows)];
-    for (int64_t i = b; i < e; ++i) {
-      if (flags.Int32At(i) != 0) part.push_back(i);
-    }
-  });
-  size_t total_indices = 0;
-  for (const auto& part : parts) total_indices += part.size();
-  std::vector<int64_t> indices;
-  indices.reserve(total_indices);
-  for (const auto& part : parts) {
-    indices.insert(indices.end(), part.begin(), part.end());
-  }
-  return input.Gather(indices);
+  return input.Gather(SelectRows(flags.size(), [&](int64_t begin, int64_t len) {
+    return Datum::Borrow(flags, begin, len);
+  }));
 }
 
 // ---------------------------------------------------------------------------

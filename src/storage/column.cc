@@ -27,16 +27,33 @@ Column::Column(DataType type, std::shared_ptr<Dictionary> dict)
   }
 }
 
+Column::Column(const Column& other) : type_(other.type_), dict_(other.dict_) {
+  const auto copy = [](auto rows, auto* buf) {
+    using T = typename decltype(rows)::value_type;
+    if (!rows.empty()) {
+      *buf = std::make_shared<std::vector<T>>(rows.begin(), rows.end());
+    }
+  };
+  copy(other.data32(), &data32_);
+  copy(other.data64(), &data64_);
+  copy(other.dataf(), &dataf_);
+}
+
+Column& Column::operator=(const Column& other) {
+  if (this != &other) *this = Column(other);
+  return *this;
+}
+
 int64_t Column::size() const {
   switch (type_) {
     case DataType::kInt32:
     case DataType::kDate:
     case DataType::kString:
-      return static_cast<int64_t>(data32_.size());
+      return static_cast<int64_t>(data32().size());
     case DataType::kInt64:
-      return static_cast<int64_t>(data64_.size());
+      return static_cast<int64_t>(data64().size());
     case DataType::kFloat64:
-      return static_cast<int64_t>(dataf_.size());
+      return static_cast<int64_t>(dataf().size());
   }
   return 0;
 }
@@ -46,13 +63,13 @@ void Column::Reserve(int64_t n) {
     case DataType::kInt32:
     case DataType::kDate:
     case DataType::kString:
-      data32_.reserve(static_cast<size_t>(n));
+      data32().reserve(static_cast<size_t>(n));
       break;
     case DataType::kInt64:
-      data64_.reserve(static_cast<size_t>(n));
+      data64().reserve(static_cast<size_t>(n));
       break;
     case DataType::kFloat64:
-      dataf_.reserve(static_cast<size_t>(n));
+      dataf().reserve(static_cast<size_t>(n));
       break;
   }
 }
@@ -85,58 +102,45 @@ int64_t Column::AsInt64(int64_t i) const {
   return 0;
 }
 
+namespace {
+
+// out[i] = src[indices[i]] into a pre-sized buffer, morsel-parallel when the
+// current scope allows: output position i takes row indices[i], so
+// concurrent chunks write disjoint ranges and the values are trivially
+// identical to a serial loop.
+template <typename T>
+void GatherInto(std::span<const T> src, const std::vector<int64_t>& indices,
+                std::vector<T>* dst) {
+  const int64_t n = static_cast<int64_t>(indices.size());
+  dst->resize(static_cast<size_t>(n));
+  T* out = dst->data();
+  const T* in = src.data();
+  const int64_t* idx = indices.data();
+  ParallelFor(0, n, kMorselRows, [&](int64_t b, int64_t e) {
+    for (int64_t i = b; i < e; ++i) out[i] = in[idx[i]];
+  });
+}
+
+template <typename T>
+void AppendRows(std::span<const T> rows, std::vector<T>* dst) {
+  dst->insert(dst->end(), rows.begin(), rows.end());
+}
+
+}  // namespace
+
 Column Column::Gather(const std::vector<int64_t>& indices) const {
   Column out(type_, dict_);
-  const int64_t n = static_cast<int64_t>(indices.size());
-  if (CurrentHostParallelism() <= 1 || n < 2 * kMorselRows) {
-    out.Reserve(n);
-    switch (type_) {
-      case DataType::kInt32:
-      case DataType::kDate:
-      case DataType::kString:
-        for (int64_t i : indices) out.data32_.push_back(data32_[static_cast<size_t>(i)]);
-        break;
-      case DataType::kInt64:
-        for (int64_t i : indices) out.data64_.push_back(data64_[static_cast<size_t>(i)]);
-        break;
-      case DataType::kFloat64:
-        for (int64_t i : indices) out.dataf_.push_back(dataf_[static_cast<size_t>(i)]);
-        break;
-    }
-    return out;
-  }
-  // Morsel-parallel fill of a pre-sized buffer: output position i takes
-  // row indices[i], so concurrent chunks write disjoint ranges and the
-  // values are trivially identical to the serial loop.
   switch (type_) {
     case DataType::kInt32:
     case DataType::kDate:
     case DataType::kString:
-      out.data32_.resize(static_cast<size_t>(n));
-      ParallelFor(0, n, kMorselRows, [&](int64_t b, int64_t e) {
-        for (int64_t i = b; i < e; ++i) {
-          out.data32_[static_cast<size_t>(i)] =
-              data32_[static_cast<size_t>(indices[static_cast<size_t>(i)])];
-        }
-      });
+      GatherInto(data32(), indices, &out.data32());
       break;
     case DataType::kInt64:
-      out.data64_.resize(static_cast<size_t>(n));
-      ParallelFor(0, n, kMorselRows, [&](int64_t b, int64_t e) {
-        for (int64_t i = b; i < e; ++i) {
-          out.data64_[static_cast<size_t>(i)] =
-              data64_[static_cast<size_t>(indices[static_cast<size_t>(i)])];
-        }
-      });
+      GatherInto(data64(), indices, &out.data64());
       break;
     case DataType::kFloat64:
-      out.dataf_.resize(static_cast<size_t>(n));
-      ParallelFor(0, n, kMorselRows, [&](int64_t b, int64_t e) {
-        for (int64_t i = b; i < e; ++i) {
-          out.dataf_[static_cast<size_t>(i)] =
-              dataf_[static_cast<size_t>(indices[static_cast<size_t>(i)])];
-        }
-      });
+      GatherInto(dataf(), indices, &out.dataf());
       break;
   }
   return out;
@@ -146,20 +150,12 @@ Column Column::Slice(int64_t begin, int64_t len) const {
   GPL_CHECK(begin >= 0 && len >= 0 && begin + len <= size())
       << "slice out of range: [" << begin << ", " << begin + len << ") of " << size();
   Column out(type_, dict_);
-  out.Reserve(len);
-  switch (type_) {
-    case DataType::kInt32:
-    case DataType::kDate:
-    case DataType::kString:
-      out.data32_.assign(data32_.begin() + begin, data32_.begin() + begin + len);
-      break;
-    case DataType::kInt64:
-      out.data64_.assign(data64_.begin() + begin, data64_.begin() + begin + len);
-      break;
-    case DataType::kFloat64:
-      out.dataf_.assign(dataf_.begin() + begin, dataf_.begin() + begin + len);
-      break;
-  }
+  out.data32_ = data32_;
+  out.data64_ = data64_;
+  out.dataf_ = dataf_;
+  out.view_ = true;
+  out.offset_ = offset_ + begin;
+  out.view_rows_ = len;
   return out;
 }
 
@@ -170,9 +166,19 @@ Status Column::AppendColumn(const Column& other) {
   if (type_ == DataType::kString && other.dict_ != dict_) {
     return Status::InvalidArgument("AppendColumn: mismatched dictionaries");
   }
-  data32_.insert(data32_.end(), other.data32_.begin(), other.data32_.end());
-  data64_.insert(data64_.end(), other.data64_.begin(), other.data64_.end());
-  dataf_.insert(dataf_.end(), other.dataf_.begin(), other.dataf_.end());
+  switch (type_) {
+    case DataType::kInt32:
+    case DataType::kDate:
+    case DataType::kString:
+      AppendRows(other.data32(), &data32());
+      break;
+    case DataType::kInt64:
+      AppendRows(other.data64(), &data64());
+      break;
+    case DataType::kFloat64:
+      AppendRows(other.dataf(), &dataf());
+      break;
+  }
   return Status::OK();
 }
 

@@ -1,106 +1,147 @@
 // Property test: random expression trees evaluated column-at-a-time by the
 // library must agree with a straightforward row-at-a-time interpreter
-// written independently here.
+// written independently here — bit for bit, at host threads 1 and 4, both
+// through Expr::Evaluate and through the morsel-parallel helpers that
+// evaluate row ranges of the borrowed input.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "exec/expr.h"
+#include "exec/morsel.h"
 #include "test_util.h"
+#include "tpch/date.h"
 
 namespace gpl {
 namespace {
+
+constexpr const char* kDateLiteral = "1995-03-15";
+const char* const kStrings[] = {"FRANCE", "GERMANY", "PERU"};
+// Literals compared against the string column; CHINA never occurs in it.
+const char* const kStringLiterals[] = {"FRANCE", "PERU", "CHINA"};
+
+/// One input row, read by the interpreter.
+struct Row {
+  int32_t i;       // int32 column "i"
+  int64_t l;       // int64 column "l"
+  double f;        // float64 column "f"
+  int32_t d;       // date column "d"
+  std::string s;   // string column "s"
+};
+
+/// A typed scalar value: int64 unless `flt`.
+struct Value {
+  bool flt = false;
+  int64_t i = 0;
+  double f = 0.0;
+
+  double AsDouble() const { return flt ? f : static_cast<double>(i); }
+  int64_t AsInt64() const { return flt ? static_cast<int64_t>(f) : i; }
+  bool Truthy() const { return AsInt64() != 0; }
+};
+
+Value Int(int64_t v) { return Value{false, v, 0.0}; }
+Value Float(double v) { return Value{true, 0, v}; }
 
 /// A miniature row-wise interpreter over the same expression shapes the
 /// fuzzer generates. Kept deliberately naive.
 struct RowExpr {
   enum Kind {
-    kColI,
-    kColF,
-    kLitI,
-    kLitF,
-    kAdd,
-    kSub,
-    kMul,
-    kLt,
-    kGe,
-    kEq,
-    kAnd,
-    kOr,
-    kNot,
-    kCase
+    kColI, kColL, kColF, kDateDiff, kLitI, kLitF,
+    kAdd, kSub, kMul, kDiv,
+    kLt, kLe, kGt, kGe, kEq, kNe,
+    kDateCmp, kStrEq, kStrNe,
+    kAnd, kOr, kNot, kCase
   };
   Kind kind;
-  int64_t lit_int = 0;
+  Kind cmp = kEq;           // kDateCmp: the comparison
+  bool literal_left = false;  // kDateCmp/kStr*: literal on the left
+  int64_t lit_int = 0;      // kLitI; kDateCmp/kDateDiff: the date literal
   double lit_float = 0.0;
+  std::string lit_str;
   std::unique_ptr<RowExpr> a, b, c;
 
-  bool IsBool() const {
-    return kind == kLt || kind == kGe || kind == kEq || kind == kAnd ||
-           kind == kOr || kind == kNot;
-  }
-
-  // Returns the value as double; integer context truncates consistently with
-  // the library (int64 arithmetic when neither side is float).
-  double Eval(int64_t i_val, double f_val, bool* is_float) const {
-    bool fa = false, fb = false, fc = false;
-    switch (kind) {
-      case kColI:
-        *is_float = false;
-        return static_cast<double>(i_val);
-      case kColF:
-        *is_float = true;
-        return f_val;
-      case kLitI:
-        *is_float = false;
-        return static_cast<double>(lit_int);
-      case kLitF:
-        *is_float = true;
-        return lit_float;
-      case kAdd:
-      case kSub:
-      case kMul: {
-        const double va = a->Eval(i_val, f_val, &fa);
-        const double vb = b->Eval(i_val, f_val, &fb);
-        *is_float = fa || fb;
-        double r = kind == kAdd ? va + vb : (kind == kSub ? va - vb : va * vb);
-        if (!*is_float) r = static_cast<double>(static_cast<int64_t>(r));
-        return r;
-      }
-      case kLt:
-      case kGe:
-      case kEq: {
-        const double va = a->Eval(i_val, f_val, &fa);
-        const double vb = b->Eval(i_val, f_val, &fb);
-        *is_float = false;
-        if (kind == kLt) return va < vb ? 1 : 0;
-        if (kind == kGe) return va >= vb ? 1 : 0;
-        return va == vb ? 1 : 0;
-      }
-      case kAnd:
-      case kOr: {
-        const bool va = a->Eval(i_val, f_val, &fa) != 0;
-        const bool vb = b->Eval(i_val, f_val, &fb) != 0;
-        *is_float = false;
-        return (kind == kAnd ? (va && vb) : (va || vb)) ? 1 : 0;
-      }
-      case kNot:
-        *is_float = false;
-        return a->Eval(i_val, f_val, &fa) == 0 ? 1 : 0;
-      case kCase: {
-        const bool cond = a->Eval(i_val, f_val, &fa) != 0;
-        const double vb = b->Eval(i_val, f_val, &fb);
-        const double vc = c->Eval(i_val, f_val, &fc);
-        *is_float = fb || fc;
-        double r = cond ? vb : vc;
-        if (!*is_float) r = static_cast<double>(static_cast<int64_t>(r));
-        return r;
+  static bool Compare(Kind op, const Value& x, const Value& y) {
+    if (x.flt || y.flt) {
+      const double u = x.AsDouble(), v = y.AsDouble();
+      switch (op) {
+        case kLt: return u < v;
+        case kLe: return u <= v;
+        case kGt: return u > v;
+        case kGe: return u >= v;
+        case kEq: return u == v;
+        default: return u != v;
       }
     }
-    return 0.0;
+    switch (op) {
+      case kLt: return x.i < y.i;
+      case kLe: return x.i <= y.i;
+      case kGt: return x.i > y.i;
+      case kGe: return x.i >= y.i;
+      case kEq: return x.i == y.i;
+      default: return x.i != y.i;
+    }
+  }
+
+  Value Eval(const Row& row) const {
+    switch (kind) {
+      case kColI: return Int(row.i);
+      case kColL: return Int(row.l);
+      case kColF: return Float(row.f);
+      case kDateDiff: return Int(static_cast<int64_t>(row.d) - lit_int);
+      case kLitI: return Int(lit_int);
+      case kLitF: return Float(lit_float);
+      case kAdd:
+      case kSub:
+      case kMul:
+      case kDiv: {
+        const Value x = a->Eval(row), y = b->Eval(row);
+        if (x.flt || y.flt) {
+          const double u = x.AsDouble(), v = y.AsDouble();
+          if (kind == kAdd) return Float(u + v);
+          if (kind == kSub) return Float(u - v);
+          if (kind == kMul) return Float(u * v);
+          return Float(v == 0.0 ? 0.0 : u / v);
+        }
+        if (kind == kAdd) return Int(x.i + y.i);
+        if (kind == kSub) return Int(x.i - y.i);
+        if (kind == kMul) return Int(x.i * y.i);
+        return Int(y.i == 0 ? 0 : x.i / y.i);
+      }
+      case kLt:
+      case kLe:
+      case kGt:
+      case kGe:
+      case kEq:
+      case kNe:
+        return Int(Compare(kind, a->Eval(row), b->Eval(row)) ? 1 : 0);
+      case kDateCmp: {
+        const Value col = Int(row.d), lit = Int(lit_int);
+        return Int((literal_left ? Compare(cmp, lit, col)
+                                 : Compare(cmp, col, lit)) ? 1 : 0);
+      }
+      case kStrEq:
+        return Int(row.s == lit_str ? 1 : 0);
+      case kStrNe:
+        return Int(row.s != lit_str ? 1 : 0);
+      case kAnd:
+        return Int(a->Eval(row).Truthy() && b->Eval(row).Truthy() ? 1 : 0);
+      case kOr:
+        return Int(a->Eval(row).Truthy() || b->Eval(row).Truthy() ? 1 : 0);
+      case kNot:
+        return Int(a->Eval(row).Truthy() ? 0 : 1);
+      case kCase: {
+        const bool cond = a->Eval(row).Truthy();
+        const Value t = b->Eval(row), e = c->Eval(row);
+        if (t.flt || e.flt) return Float(cond ? t.AsDouble() : e.AsDouble());
+        return Int(cond ? t.i : e.i);
+      }
+    }
+    return Int(0);
   }
 };
 
@@ -108,155 +149,219 @@ struct RowExpr {
 struct Generated {
   ExprPtr lib;
   std::unique_ptr<RowExpr> row;
-  bool boolean;
 };
 
-Generated GenNumeric(Random& rng, int depth);
-
-Generated GenBool(Random& rng, int depth) {
+Generated Make(ExprPtr lib, RowExpr::Kind kind, Generated* a = nullptr,
+               Generated* b = nullptr, Generated* c = nullptr) {
   Generated g;
-  g.boolean = true;
-  auto row = std::make_unique<RowExpr>();
-  const int pick = depth <= 0 ? static_cast<int>(rng.Uniform(0, 2))
-                              : static_cast<int>(rng.Uniform(0, 5));
-  switch (pick) {
-    case 0:
-    case 1:
-    case 2: {  // comparison of numerics
-      Generated a = GenNumeric(rng, depth - 1);
-      Generated b = GenNumeric(rng, depth - 1);
-      if (pick == 0) {
-        g.lib = Lt(a.lib, b.lib);
-        row->kind = RowExpr::kLt;
-      } else if (pick == 1) {
-        g.lib = Ge(a.lib, b.lib);
-        row->kind = RowExpr::kGe;
-      } else {
-        g.lib = Eq(a.lib, b.lib);
-        row->kind = RowExpr::kEq;
-      }
-      row->a = std::move(a.row);
-      row->b = std::move(b.row);
-      break;
-    }
-    case 3: {  // and/or
-      Generated a = GenBool(rng, depth - 1);
-      Generated b = GenBool(rng, depth - 1);
-      if (rng.Bernoulli(0.5)) {
-        g.lib = And(a.lib, b.lib);
-        row->kind = RowExpr::kAnd;
-      } else {
-        g.lib = Or(a.lib, b.lib);
-        row->kind = RowExpr::kOr;
-      }
-      row->a = std::move(a.row);
-      row->b = std::move(b.row);
-      break;
-    }
-    default: {  // not
-      Generated a = GenBool(rng, depth - 1);
-      g.lib = Not(a.lib);
-      row->kind = RowExpr::kNot;
-      row->a = std::move(a.row);
-      break;
-    }
-  }
-  g.row = std::move(row);
+  g.lib = std::move(lib);
+  g.row = std::make_unique<RowExpr>();
+  g.row->kind = kind;
+  if (a != nullptr) g.row->a = std::move(a->row);
+  if (b != nullptr) g.row->b = std::move(b->row);
+  if (c != nullptr) g.row->c = std::move(c->row);
   return g;
 }
 
+Generated GenNumeric(Random& rng, int depth);
+Generated GenBool(Random& rng, int depth);
+
+Generated GenLiteral(Random& rng) {
+  if (rng.Bernoulli(0.5)) {
+    Generated g = Make(nullptr, RowExpr::kLitI);
+    g.row->lit_int = rng.Uniform(-20, 20);
+    g.lib = LitInt(g.row->lit_int);
+    return g;
+  }
+  Generated g = Make(nullptr, RowExpr::kLitF);
+  g.row->lit_float = static_cast<double>(rng.Uniform(-200, 200)) / 8.0;
+  g.lib = LitFloat(g.row->lit_float);
+  return g;
+}
+
+/// Operand of AND/OR/NOT/CASE: usually a predicate, sometimes a plain
+/// number (floats truncate toward zero before the truth test).
+Generated GenTruth(Random& rng, int depth) {
+  return rng.Bernoulli(0.3) ? GenNumeric(rng, depth) : GenBool(rng, depth);
+}
+
+Generated GenBool(Random& rng, int depth) {
+  static const RowExpr::Kind kCmps[] = {RowExpr::kLt, RowExpr::kLe,
+                                        RowExpr::kGt, RowExpr::kGe,
+                                        RowExpr::kEq, RowExpr::kNe};
+  const auto cmp_expr = [](RowExpr::Kind k, ExprPtr x, ExprPtr y) {
+    switch (k) {
+      case RowExpr::kLt: return Lt(x, y);
+      case RowExpr::kLe: return Le(x, y);
+      case RowExpr::kGt: return Gt(x, y);
+      case RowExpr::kGe: return Ge(x, y);
+      case RowExpr::kEq: return Eq(x, y);
+      default: return Ne(x, y);
+    }
+  };
+  const int pick = depth <= 0 ? static_cast<int>(rng.Uniform(0, 2))
+                              : static_cast<int>(rng.Uniform(0, 5));
+  switch (pick) {
+    case 0: {  // numeric comparison, sometimes with a literal on the left
+      const RowExpr::Kind k = kCmps[rng.Uniform(0, 5)];
+      Generated a = rng.Bernoulli(0.3) ? GenLiteral(rng)
+                                       : GenNumeric(rng, depth - 1);
+      Generated b = GenNumeric(rng, depth - 1);
+      return Make(cmp_expr(k, a.lib, b.lib), k, &a, &b);
+    }
+    case 1: {  // date column against a date literal, either side
+      Generated g = Make(nullptr, RowExpr::kDateCmp);
+      g.row->cmp = kCmps[rng.Uniform(0, 5)];
+      g.row->literal_left = rng.Bernoulli(0.5);
+      g.row->lit_int = date::Parse(kDateLiteral).value();
+      g.lib = g.row->literal_left
+                  ? cmp_expr(g.row->cmp, LitDate(kDateLiteral), Col("d"))
+                  : cmp_expr(g.row->cmp, Col("d"), LitDate(kDateLiteral));
+      return g;
+    }
+    case 2: {  // string =/<> against a literal, either side
+      const bool eq = rng.Bernoulli(0.5);
+      Generated g = Make(nullptr, eq ? RowExpr::kStrEq : RowExpr::kStrNe);
+      g.row->lit_str = kStringLiterals[rng.Uniform(0, 2)];
+      ExprPtr lit = LitString(g.row->lit_str);
+      ExprPtr col = Col("s");
+      if (rng.Bernoulli(0.5)) std::swap(lit, col);
+      g.lib = eq ? Eq(col, lit) : Ne(col, lit);
+      return g;
+    }
+    case 3:
+    case 4: {  // and/or
+      Generated a = GenTruth(rng, depth - 1);
+      Generated b = GenTruth(rng, depth - 1);
+      if (rng.Bernoulli(0.5)) {
+        return Make(And(a.lib, b.lib), RowExpr::kAnd, &a, &b);
+      }
+      return Make(Or(a.lib, b.lib), RowExpr::kOr, &a, &b);
+    }
+    default: {  // not
+      Generated a = GenTruth(rng, depth - 1);
+      return Make(Not(a.lib), RowExpr::kNot, &a);
+    }
+  }
+}
+
 Generated GenNumeric(Random& rng, int depth) {
-  Generated g;
-  g.boolean = false;
-  auto row = std::make_unique<RowExpr>();
-  const int pick = depth <= 0 ? static_cast<int>(rng.Uniform(0, 3))
+  const int pick = depth <= 0 ? static_cast<int>(rng.Uniform(0, 4))
                               : static_cast<int>(rng.Uniform(0, 7));
   switch (pick) {
-    case 0:
-      g.lib = Col("i");
-      row->kind = RowExpr::kColI;
-      break;
-    case 1:
-      g.lib = Col("f");
-      row->kind = RowExpr::kColF;
-      break;
-    case 2:
+    case 0: return Make(Col("i"), RowExpr::kColI);
+    case 1: return Make(Col("l"), RowExpr::kColL);
+    case 2: return Make(Col("f"), RowExpr::kColF);
     case 3: {
-      if (rng.Bernoulli(0.5)) {
-        row->kind = RowExpr::kLitI;
-        row->lit_int = rng.Uniform(-20, 20);
-        g.lib = LitInt(row->lit_int);
-      } else {
-        row->kind = RowExpr::kLitF;
-        row->lit_float = static_cast<double>(rng.Uniform(-200, 200)) / 8.0;
-        g.lib = LitFloat(row->lit_float);
-      }
-      break;
+      if (rng.Bernoulli(0.7)) return GenLiteral(rng);
+      Generated g =
+          Make(Sub(Col("d"), LitDate(kDateLiteral)), RowExpr::kDateDiff);
+      g.row->lit_int = date::Parse(kDateLiteral).value();
+      return g;
     }
     case 4:
     case 5: {
       Generated a = GenNumeric(rng, depth - 1);
       Generated b = GenNumeric(rng, depth - 1);
-      const int op = static_cast<int>(rng.Uniform(0, 2));
-      if (op == 0) {
-        g.lib = Add(a.lib, b.lib);
-        row->kind = RowExpr::kAdd;
-      } else if (op == 1) {
-        g.lib = Sub(a.lib, b.lib);
-        row->kind = RowExpr::kSub;
-      } else {
-        g.lib = Mul(a.lib, b.lib);
-        row->kind = RowExpr::kMul;
+      switch (rng.Uniform(0, 3)) {
+        case 0: return Make(Add(a.lib, b.lib), RowExpr::kAdd, &a, &b);
+        case 1: return Make(Sub(a.lib, b.lib), RowExpr::kSub, &a, &b);
+        case 2: return Make(Mul(a.lib, b.lib), RowExpr::kMul, &a, &b);
+        default: return Make(Div(a.lib, b.lib), RowExpr::kDiv, &a, &b);
       }
-      row->a = std::move(a.row);
-      row->b = std::move(b.row);
-      break;
     }
     default: {  // case when
-      Generated cond = GenBool(rng, depth - 1);
+      Generated cond = GenTruth(rng, depth - 1);
       Generated then_e = GenNumeric(rng, depth - 1);
       Generated else_e = GenNumeric(rng, depth - 1);
-      g.lib = CaseWhen(cond.lib, then_e.lib, else_e.lib);
-      row->kind = RowExpr::kCase;
-      row->a = std::move(cond.row);
-      row->b = std::move(then_e.row);
-      row->c = std::move(else_e.row);
-      break;
+      return Make(CaseWhen(cond.lib, then_e.lib, else_e.lib), RowExpr::kCase,
+                  &cond, &then_e, &else_e);
     }
   }
-  g.row = std::move(row);
-  return g;
+}
+
+/// Small magnitudes keep every int64 product of a depth-3 tree far from
+/// overflow; zeros are frequent, so divisions by zero occur.
+Table MakeInput(Random& rng, int64_t rows, std::vector<Row>* out) {
+  const int32_t base = date::Parse(kDateLiteral).value();
+  Column ci(DataType::kInt32), cl(DataType::kInt64), cf(DataType::kFloat64),
+      cd(DataType::kDate), cs(DataType::kString);
+  for (int64_t r = 0; r < rows; ++r) {
+    Row row;
+    row.i = static_cast<int32_t>(rng.Uniform(-50, 50));
+    row.l = rng.Uniform(-60, 60);
+    row.f = static_cast<double>(rng.Uniform(-400, 400)) / 16.0;
+    row.d = base + static_cast<int32_t>(rng.Uniform(-40, 40));
+    row.s = kStrings[rng.Uniform(0, 2)];
+    ci.AppendInt32(row.i);
+    cl.AppendInt64(row.l);
+    cf.AppendDouble(row.f);
+    cd.AppendInt32(row.d);
+    cs.AppendString(row.s);
+    out->push_back(row);
+  }
+  Table t("t");
+  GPL_CHECK_OK(t.AddColumn("i", std::move(ci)));
+  GPL_CHECK_OK(t.AddColumn("l", std::move(cl)));
+  GPL_CHECK_OK(t.AddColumn("f", std::move(cf)));
+  GPL_CHECK_OK(t.AddColumn("d", std::move(cd)));
+  GPL_CHECK_OK(t.AddColumn("s", std::move(cs)));
+  return t;
+}
+
+/// Row r of `result` equals `expected` exactly, in type class and value.
+::testing::AssertionResult SameValue(const Column& result, int64_t r,
+                                     const Value& expected) {
+  if (expected.flt != (result.type() == DataType::kFloat64)) {
+    return ::testing::AssertionFailure()
+           << "type " << DataTypeToString(result.type()) << ", expected "
+           << (expected.flt ? "float" : "int");
+  }
+  if (expected.flt ? result.DoubleAt(r) != expected.f
+                   : result.AsInt64(r) != expected.i) {
+    return ::testing::AssertionFailure()
+           << "value " << result.AsDouble(r) << ", expected "
+           << expected.AsDouble();
+  }
+  return ::testing::AssertionSuccess();
 }
 
 class ExprFuzzTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ExprFuzzTest, ColumnarMatchesRowWise) {
   Random rng(static_cast<uint64_t>(GetParam()) * 7919 + 17);
+  // Three full morsels plus a ragged tail: at 4 threads the morsel helpers
+  // split the batch into row ranges of the borrowed input.
+  const int64_t rows = 3 * kMorselRows + 77;
+  std::vector<Row> input_rows;
+  const Table t = MakeInput(rng, rows, &input_rows);
 
-  // Input table with an int and a float column.
-  Table t("t");
-  Column ci(DataType::kInt32), cf(DataType::kFloat64);
-  const int64_t rows = 64;
-  for (int64_t r = 0; r < rows; ++r) {
-    ci.AppendInt32(static_cast<int32_t>(rng.Uniform(-50, 50)));
-    cf.AppendDouble(static_cast<double>(rng.Uniform(-400, 400)) / 16.0);
-  }
-  GPL_CHECK_OK(t.AddColumn("i", std::move(ci)));
-  GPL_CHECK_OK(t.AddColumn("f", std::move(cf)));
-
-  for (int trial = 0; trial < 30; ++trial) {
-    const Generated g = rng.Bernoulli(0.5) ? GenBool(rng, 3)
-                                           : GenNumeric(rng, 3);
-    Column result = g.lib->Evaluate(t);
-    ASSERT_EQ(result.size(), rows) << g.lib->ToString();
+  for (int trial = 0; trial < 20; ++trial) {
+    const Generated g =
+        rng.Bernoulli(0.5) ? GenBool(rng, 3) : GenNumeric(rng, 3);
+    std::vector<Value> expected;
+    expected.reserve(static_cast<size_t>(rows));
+    std::vector<int64_t> expected_selected;
     for (int64_t r = 0; r < rows; ++r) {
-      bool is_float = false;
-      const double expected =
-          g.row->Eval(t.GetColumn("i").Int32At(r),
-                      t.GetColumn("f").DoubleAt(r), &is_float);
-      const double actual = result.AsDouble(r);
-      EXPECT_NEAR(actual, expected, 1e-9 * std::max(1.0, std::abs(expected)))
-          << "row " << r << " of " << g.lib->ToString();
+      expected.push_back(g.row->Eval(input_rows[static_cast<size_t>(r)]));
+      if (expected.back().Truthy()) expected_selected.push_back(r);
+    }
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(g.lib->ToString() + " at threads " +
+                   std::to_string(threads));
+      ScopedHostParallelism parallelism(threads);
+      const Column whole = g.lib->Evaluate(t);
+      const Column morsels = EvaluateMorsels(*g.lib, t).ToColumn();
+      ASSERT_EQ(whole.size(), rows);
+      ASSERT_EQ(morsels.size(), rows);
+      ASSERT_EQ(whole.type(), g.lib->OutputType(t));
+      ASSERT_EQ(morsels.type(), whole.type());
+      for (int64_t r = 0; r < rows; ++r) {
+        const Value& want = expected[static_cast<size_t>(r)];
+        ASSERT_TRUE(SameValue(whole, r, want)) << "row " << r;
+        ASSERT_TRUE(SameValue(morsels, r, want)) << "row " << r;
+      }
+      EXPECT_EQ(SelectIndices(*g.lib, t), expected_selected);
     }
   }
 }

@@ -5,6 +5,7 @@
 // completes is bit-identical to a fault-free run.
 #include "sim/fault.h"
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <utility>
@@ -291,9 +292,9 @@ TEST(EngineFaultTest, ChannelFailureDegradesToKernelAtATime) {
   for (int64_t c = 0; c < baseline->table.num_columns(); ++c) {
     const Column& e = baseline->table.ColumnAt(c);
     const Column& a = degraded->table.ColumnAt(c);
-    EXPECT_TRUE(e.data32() == a.data32());
-    EXPECT_TRUE(e.data64() == a.data64());
-    EXPECT_TRUE(e.dataf() == a.dataf());
+    EXPECT_TRUE(std::ranges::equal(e.data32(), a.data32()));
+    EXPECT_TRUE(std::ranges::equal(e.data64(), a.data64()));
+    EXPECT_TRUE(std::ranges::equal(e.dataf(), a.dataf()));
   }
   EXPECT_NE(baseline->metrics.elapsed_ms, degraded->metrics.elapsed_ms);
 }
@@ -406,9 +407,12 @@ TEST(ServiceChaosTest, EveryQueryGetsExactlyOneOutcomeAtAnyFaultRate) {
         ASSERT_EQ(e.num_rows(), a.num_rows());
         ASSERT_EQ(e.num_columns(), a.num_columns());
         for (int64_t c = 0; c < e.num_columns(); ++c) {
-          EXPECT_TRUE(e.ColumnAt(c).data32() == a.ColumnAt(c).data32());
-          EXPECT_TRUE(e.ColumnAt(c).data64() == a.ColumnAt(c).data64());
-          EXPECT_TRUE(e.ColumnAt(c).dataf() == a.ColumnAt(c).dataf());
+          EXPECT_TRUE(
+              std::ranges::equal(e.ColumnAt(c).data32(), a.ColumnAt(c).data32()));
+          EXPECT_TRUE(
+              std::ranges::equal(e.ColumnAt(c).data64(), a.ColumnAt(c).data64()));
+          EXPECT_TRUE(
+              std::ranges::equal(e.ColumnAt(c).dataf(), a.ColumnAt(c).dataf()));
         }
       } else {
         // The only error a fully-retried transient fault leaves behind.

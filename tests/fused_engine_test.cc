@@ -1,3 +1,5 @@
+#include <algorithm>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -26,9 +28,9 @@ void ExpectTablesBitIdentical(const Table& expected, const Table& actual) {
     const Column& e = expected.ColumnAt(i);
     const Column& a = actual.ColumnAt(i);
     ASSERT_EQ(e.type(), a.type());
-    EXPECT_TRUE(e.data32() == a.data32());
-    EXPECT_TRUE(e.data64() == a.data64());
-    EXPECT_TRUE(e.dataf() == a.dataf());
+    EXPECT_TRUE(std::ranges::equal(e.data32(), a.data32()));
+    EXPECT_TRUE(std::ranges::equal(e.data64(), a.data64()));
+    EXPECT_TRUE(std::ranges::equal(e.dataf(), a.dataf()));
   }
 }
 
@@ -49,6 +51,10 @@ struct QueryCase {
   const char* label;
   LogicalQuery (*make)();
 };
+
+// Print a case by its label. Without this, gtest prints the raw struct bytes
+// (two pointers), which makes the listed test name depend on load addresses.
+void PrintTo(const QueryCase& qc, std::ostream* os) { *os << qc.label; }
 
 LogicalQuery MakeQ14() { return queries::Q14(); }
 

@@ -1,5 +1,6 @@
 #include "plan/fusion.h"
 
+#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -171,9 +172,12 @@ TEST(FusedKernelTest, MatchesUnfusedChainBitExactly) {
   ASSERT_EQ(actual->num_rows(), expected->num_rows());
   ASSERT_EQ(actual->num_columns(), expected->num_columns());
   for (int64_t c = 0; c < expected->num_columns(); ++c) {
-    EXPECT_EQ(expected->ColumnAt(c).data32(), actual->ColumnAt(c).data32());
-    EXPECT_EQ(expected->ColumnAt(c).data64(), actual->ColumnAt(c).data64());
-    EXPECT_EQ(expected->ColumnAt(c).dataf(), actual->ColumnAt(c).dataf());
+    EXPECT_TRUE(std::ranges::equal(expected->ColumnAt(c).data32(),
+                                   actual->ColumnAt(c).data32()));
+    EXPECT_TRUE(std::ranges::equal(expected->ColumnAt(c).data64(),
+                                   actual->ColumnAt(c).data64()));
+    EXPECT_TRUE(std::ranges::equal(expected->ColumnAt(c).dataf(),
+                                   actual->ColumnAt(c).dataf()));
   }
 
   // Per-stage observations carry the interior cardinalities the simulator

@@ -118,5 +118,44 @@ TEST(JoinHashTableTest, StressRandomKeysAgainstReference) {
   }
 }
 
+TEST(JoinHashTableTest, ProbeBatchMatchesPerKeyProbesInChainOrder) {
+  Random rng(9);
+  // Many duplicates, tile-wise inserts, and probe batches whose length is
+  // not a multiple of the internal prefetch batch.
+  JoinHashTable ht;
+  std::vector<int64_t> tile(300);
+  for (int64_t base = 0; base < 1200; base += 300) {
+    for (auto& k : tile) k = rng.Uniform(-200, 200);
+    ht.Insert(tile, base);
+  }
+  std::vector<int64_t> probes(1003);
+  for (auto& k : probes) k = rng.Uniform(-250, 250);
+
+  std::vector<int64_t> want_probe, want_build;
+  for (size_t i = 0; i < probes.size(); ++i) {
+    std::vector<int64_t> rows;
+    ht.Probe(probes[i], &rows);
+    for (int64_t r : rows) {
+      want_probe.push_back(1000 + static_cast<int64_t>(i));
+      want_build.push_back(r);
+    }
+  }
+  ASSERT_FALSE(want_probe.empty());
+  std::vector<int64_t> probe_rows = {-1}, build_rows = {-2};  // appended to
+  ht.ProbeBatch(probes.data(), static_cast<int64_t>(probes.size()), 1000,
+                &probe_rows, &build_rows);
+  want_probe.insert(want_probe.begin(), -1);
+  want_build.insert(want_build.begin(), -2);
+  EXPECT_EQ(probe_rows, want_probe);
+  EXPECT_EQ(build_rows, want_build);
+
+  JoinHashTable empty;
+  std::vector<int64_t> none_probe, none_build;
+  empty.ProbeBatch(probes.data(), static_cast<int64_t>(probes.size()), 0,
+                   &none_probe, &none_build);
+  EXPECT_TRUE(none_probe.empty());
+  EXPECT_TRUE(none_build.empty());
+}
+
 }  // namespace
 }  // namespace gpl

@@ -4,6 +4,7 @@
 /// and simulated times must be bit-identical to the serial (host_threads=1)
 /// oracle path, and a tuning-cache hit must return exactly the choice a
 /// fresh grid search would.
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,9 +29,9 @@ void ExpectTablesBitIdentical(const Table& expected, const Table& actual) {
     const Column& e = expected.ColumnAt(i);
     const Column& a = actual.ColumnAt(i);
     ASSERT_EQ(e.type(), a.type());
-    EXPECT_TRUE(e.data32() == a.data32());
-    EXPECT_TRUE(e.data64() == a.data64());
-    EXPECT_TRUE(e.dataf() == a.dataf());
+    EXPECT_TRUE(std::ranges::equal(e.data32(), a.data32()));
+    EXPECT_TRUE(std::ranges::equal(e.data64(), a.data64()));
+    EXPECT_TRUE(std::ranges::equal(e.dataf(), a.dataf()));
   }
 }
 

@@ -1,5 +1,11 @@
+#include <algorithm>
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <map>
+
+#include "common/random.h"
 #include "exec/primitives.h"
 #include "test_util.h"
 
@@ -188,6 +194,187 @@ TEST(AggregateKernelTest, ResetAllowsReuse) {
   Result<Table> out = agg->Finish();
   ASSERT_TRUE(out.ok());
   EXPECT_DOUBLE_EQ(out->GetColumn("s").DoubleAt(0), 1.0);
+}
+
+// ---- Grouping through the hash index ----
+
+void ExpectTablesBitIdentical(const Table& expected, const Table& actual) {
+  ASSERT_EQ(expected.num_columns(), actual.num_columns());
+  ASSERT_EQ(expected.num_rows(), actual.num_rows());
+  for (int64_t c = 0; c < expected.num_columns(); ++c) {
+    SCOPED_TRACE(expected.ColumnNameAt(c));
+    EXPECT_EQ(expected.ColumnNameAt(c), actual.ColumnNameAt(c));
+    const Column& e = expected.ColumnAt(c);
+    const Column& a = actual.ColumnAt(c);
+    ASSERT_EQ(e.type(), a.type());
+    EXPECT_EQ(e.dictionary(), a.dictionary());
+    EXPECT_TRUE(std::ranges::equal(e.data32(), a.data32()));
+    EXPECT_TRUE(std::ranges::equal(e.data64(), a.data64()));
+    // Bitwise, so -0.0 vs 0.0 or differing NaNs would show.
+    ASSERT_EQ(e.dataf().size(), a.dataf().size());
+    for (size_t r = 0; r < e.dataf().size(); ++r) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(e.dataf()[r]),
+                std::bit_cast<uint64_t>(a.dataf()[r]))
+          << "row " << r;
+    }
+  }
+}
+
+/// Rows with an int32 key "k0" (negative too), an int64 key "k1" (beyond
+/// int32), a string key "k2" and a float value "v" that is a multiple of
+/// 1/8, so any double fold of it is exact.
+Table GroupedRows(Random& rng, int64_t rows, int64_t distinct,
+                  const std::shared_ptr<Dictionary>& dict) {
+  Column k0(DataType::kInt32), k1(DataType::kInt64),
+      k2(DataType::kString, dict), v(DataType::kFloat64);
+  for (int64_t r = 0; r < rows; ++r) {
+    const int64_t g = rng.Uniform(0, distinct - 1);
+    k0.AppendInt32(static_cast<int32_t>(g % 151) - 75);
+    k1.AppendInt64((g % 5 - 2) * (int64_t{1} << 40) + g / 5);
+    k2.AppendString(g % 3 == 0 ? "AIR" : (g % 3 == 1 ? "RAIL" : "SHIP"));
+    v.AppendDouble(static_cast<double>(rng.Uniform(-800, 800)) / 8.0);
+  }
+  Table t("t");
+  GPL_CHECK_OK(t.AddColumn("k0", std::move(k0)));
+  GPL_CHECK_OK(t.AddColumn("k1", std::move(k1)));
+  GPL_CHECK_OK(t.AddColumn("k2", std::move(k2)));
+  GPL_CHECK_OK(t.AddColumn("v", std::move(v)));
+  return t;
+}
+
+std::vector<AggSpec> AllAggregates() {
+  return {{AggSpec::kSum, Col("v"), "sum"},
+          {AggSpec::kCount, nullptr, "count"},
+          {AggSpec::kAvg, Col("v"), "avg"},
+          {AggSpec::kMin, Col("v"), "min"},
+          {AggSpec::kMax, Col("v"), "max"}};
+}
+
+TEST(AggregateKernelTest, ManyGroupsEmitInSortedKeyOrder) {
+  const std::vector<ProjectedColumn> keys = {
+      {"k0", Col("k0")}, {"k1", Col("k1")}, {"k2", Col("k2")}};
+  for (size_t width = 1; width <= 3; ++width) {
+    SCOPED_TRACE("key columns: " + std::to_string(width));
+    const std::vector<ProjectedColumn> group_by(keys.begin(),
+                                                keys.begin() + width);
+    Random rng(41 + width);
+    auto dict = std::make_shared<Dictionary>();
+    KernelPtr agg = MakeAggregateKernel(group_by, AllAggregates());
+
+    // Reference: std::map orders key tuples lexicographically (string keys
+    // by dictionary code).
+    struct Ref {
+      double sum = 0.0, min = 1e300, max = -1e300;
+      int64_t count = 0;
+    };
+    std::map<std::vector<int64_t>, Ref> ref;
+    for (int batch = 0; batch < 4; ++batch) {  // the index grows across batches
+      const Table t = GroupedRows(rng, 700, 600, dict);
+      ASSERT_TRUE(agg->Process(t).ok());
+      for (int64_t r = 0; r < t.num_rows(); ++r) {
+        std::vector<int64_t> key;
+        for (const ProjectedColumn& g : group_by) {
+          key.push_back(t.GetColumn(g.name).AsInt64(r));
+        }
+        Ref& e = ref[key];
+        const double v = t.GetColumn("v").DoubleAt(r);
+        e.sum += v;
+        e.min = std::min(e.min, v);
+        e.max = std::max(e.max, v);
+        ++e.count;
+      }
+    }
+    ASSERT_GT(ref.size(), 64u);
+    Result<Table> out = agg->Finish();
+    ASSERT_TRUE(out.ok());
+    ASSERT_EQ(out->num_rows(), static_cast<int64_t>(ref.size()));
+    int64_t row = 0;
+    for (const auto& [key, e] : ref) {
+      for (size_t g = 0; g < width; ++g) {
+        ASSERT_EQ(out->GetColumn(group_by[g].name).AsInt64(row), key[g])
+            << "row " << row;
+      }
+      EXPECT_EQ(out->GetColumn("sum").DoubleAt(row), e.sum);
+      EXPECT_EQ(out->GetColumn("count").Int64At(row), e.count);
+      EXPECT_EQ(out->GetColumn("avg").DoubleAt(row),
+                e.sum / static_cast<double>(e.count));
+      EXPECT_EQ(out->GetColumn("min").DoubleAt(row), e.min);
+      EXPECT_EQ(out->GetColumn("max").DoubleAt(row), e.max);
+      ++row;
+    }
+    EXPECT_EQ(out->GetColumn("k0").type(), DataType::kInt32);
+    if (width >= 2) {
+      EXPECT_EQ(out->GetColumn("k1").type(), DataType::kInt64);
+    }
+    if (width == 3) {
+      EXPECT_EQ(out->GetColumn("k2").dictionary(), dict);
+    }
+  }
+}
+
+TEST(AggregateKernelTest, PartialCombineRoundTripIsBitIdentical) {
+  const std::vector<ProjectedColumn> group_by = {{"k0", Col("k0")},
+                                                 {"k2", Col("k2")}};
+  // Values of widely varying magnitude and sign: a double fold would depend
+  // on order, the exact sums must not.
+  Random rng(7);
+  auto dict = std::make_shared<Dictionary>();
+  Table all = GroupedRows(rng, 3000, 200, dict);
+  std::vector<double>& v = all.GetMutableColumn("v").dataf();
+  for (double& x : v) {
+    x *= std::ldexp(1.0 + rng.NextDouble(),
+                    static_cast<int>(rng.Uniform(-30, 30)));
+  }
+
+  KernelPtr complete = MakeAggregateKernel(group_by, AllAggregates());
+  ASSERT_TRUE(complete->Process(all).ok());
+  Result<Table> expected = complete->Finish();
+  ASSERT_TRUE(expected.ok());
+
+  // Three uneven shards, one of them empty.
+  std::vector<std::vector<int64_t>> shard_rows(3);
+  for (int64_t r = 0; r < all.num_rows(); ++r) {
+    shard_rows[r % 7 < 5 ? 0 : 2].push_back(r);
+  }
+  std::vector<Table> partials;
+  for (const std::vector<int64_t>& rows : shard_rows) {
+    KernelPtr partial =
+        MakeAggregateKernel(group_by, AllAggregates(),
+                            AggregatePhase::kPartial);
+    ASSERT_TRUE(partial->Process(all.Gather(rows)).ok());
+    Result<Table> state = partial->Finish();
+    ASSERT_TRUE(state.ok());
+    EXPECT_EQ(state->column_names(),
+              PartialAggregateColumns(group_by, AllAggregates()));
+    partials.push_back(state.take());
+  }
+  Result<Table> combined =
+      CombinePartialAggregates(group_by, AllAggregates(), partials);
+  ASSERT_TRUE(combined.ok()) << combined.status().ToString();
+  ExpectTablesBitIdentical(*expected, *combined);
+}
+
+TEST(AggregateKernelTest, CombineRejectsMalformedPartial) {
+  const std::vector<ProjectedColumn> group_by = {{"k0", Col("k0")}};
+  Random rng(3);
+  auto dict = std::make_shared<Dictionary>();
+  KernelPtr partial =
+      MakeAggregateKernel(group_by, AllAggregates(), AggregatePhase::kPartial);
+  ASSERT_TRUE(partial->Process(GroupedRows(rng, 50, 10, dict)).ok());
+  Result<Table> state = partial->Finish();
+  ASSERT_TRUE(state.ok());
+
+  // Drop one exact-sum digit column.
+  Table truncated("partial");
+  for (int64_t c = 0; c < state->num_columns(); ++c) {
+    if (state->ColumnNameAt(c) == "__pd0_5") continue;
+    GPL_CHECK_OK(
+        truncated.AddColumn(state->ColumnNameAt(c), state->ColumnAt(c)));
+  }
+  Result<Table> combined =
+      CombinePartialAggregates(group_by, AllAggregates(), {truncated});
+  ASSERT_FALSE(combined.ok());
+  EXPECT_EQ(combined.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(SortKernelTest, SortsAscendingAndDescending) {

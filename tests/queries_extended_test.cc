@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -31,6 +32,8 @@ TEST(ExtendedSuiteTest, HasSixQueries) {
   EXPECT_EQ(suite[5].first, "Q19");
 }
 
+const char* const kQueryNames[] = {"Q1", "Q3", "Q6", "Q10", "Q12", "Q19"};
+
 class ExtendedAllModesTest
     : public ::testing::TestWithParam<std::tuple<EngineMode, int>> {};
 
@@ -57,20 +60,66 @@ TEST_P(ExtendedAllModesTest, ResultsMatchCpuReference) {
 
 std::string ExtendedTestName(
     const ::testing::TestParamInfo<ExtendedAllModesTest::ParamType>& info) {
-  static const char* const kNames[] = {"Q1", "Q3", "Q6", "Q10", "Q12", "Q19"};
   std::string mode = EngineModeName(std::get<0>(info.param));
   for (char& c : mode) {
     if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
   }
-  return mode + "_" + kNames[std::get<1>(info.param)];
+  return mode + "_" + kQueryNames[std::get<1>(info.param)];
 }
 
 INSTANTIATE_TEST_SUITE_P(
     ModesAndQueries, ExtendedAllModesTest,
     ::testing::Combine(::testing::Values(EngineMode::kKbe, EngineMode::kGplNoCe,
-                                         EngineMode::kGpl, EngineMode::kOcelot),
+                                         EngineMode::kGpl, EngineMode::kOcelot,
+                                         EngineMode::kFused),
                        ::testing::Values(0, 1, 2, 3, 4, 5)),
     ExtendedTestName);
+
+// Sharded gpl runs (partial-aggregate pushdown, exchange, merge) at every
+// host thread count must reproduce the single-device KBE table bit for bit.
+class ExtendedShardedTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ExtendedShardedTest, MatchesKbeBitForBit) {
+  auto suite = queries::ExtendedSuite();
+  const auto& [name, query] = suite[static_cast<size_t>(GetParam())];
+  EngineOptions kbe_options;
+  kbe_options.mode = EngineMode::kKbe;
+  Engine kbe(&SmallDb(), kbe_options);
+  Result<QueryResult> oracle = kbe.Execute(query);
+  ASSERT_TRUE(oracle.ok()) << name << ": " << oracle.status().ToString();
+  for (int shards : {3, 4}) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(name + " shards=" + std::to_string(shards) +
+                   " threads=" + std::to_string(threads));
+      EngineOptions options;
+      options.mode = EngineMode::kGpl;
+      options.exec.shards = shards;
+      options.exec.host_threads = threads;
+      Engine engine(&SmallDb(), options);
+      Result<QueryResult> result = engine.Execute(query);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      const Table& expected = oracle->table;
+      const Table& actual = result->table;
+      ASSERT_EQ(expected.num_columns(), actual.num_columns());
+      ASSERT_EQ(expected.num_rows(), actual.num_rows());
+      for (int64_t c = 0; c < expected.num_columns(); ++c) {
+        EXPECT_EQ(expected.ColumnNameAt(c), actual.ColumnNameAt(c));
+        const Column& e = expected.ColumnAt(c);
+        const Column& a = actual.ColumnAt(c);
+        ASSERT_EQ(e.type(), a.type()) << expected.ColumnNameAt(c);
+        EXPECT_TRUE(std::ranges::equal(e.data32(), a.data32())) << expected.ColumnNameAt(c);
+        EXPECT_TRUE(std::ranges::equal(e.data64(), a.data64())) << expected.ColumnNameAt(c);
+        EXPECT_TRUE(std::ranges::equal(e.dataf(), a.dataf())) << expected.ColumnNameAt(c);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Queries, ExtendedShardedTest,
+                         ::testing::Values(0, 1, 2, 3, 4, 5),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return std::string(kQueryNames[info.param]);
+                         });
 
 TEST(ExtendedSuiteTest, GplBeatsKbeOnEveryExtendedQuery) {
   for (auto& [name, query] : queries::ExtendedSuite()) {

@@ -1,5 +1,6 @@
 #include "service/query_service.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,9 +31,9 @@ void ExpectTablesBitIdentical(const Table& expected, const Table& actual) {
     const Column& e = expected.ColumnAt(i);
     const Column& a = actual.ColumnAt(i);
     ASSERT_EQ(e.type(), a.type());
-    EXPECT_TRUE(e.data32() == a.data32());
-    EXPECT_TRUE(e.data64() == a.data64());
-    EXPECT_TRUE(e.dataf() == a.dataf());
+    EXPECT_TRUE(std::ranges::equal(e.data32(), a.data32()));
+    EXPECT_TRUE(std::ranges::equal(e.data64(), a.data64()));
+    EXPECT_TRUE(std::ranges::equal(e.dataf(), a.dataf()));
   }
 }
 

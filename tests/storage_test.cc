@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "storage/column.h"
 #include "storage/dictionary.h"
 #include "storage/table.h"
@@ -99,6 +101,59 @@ TEST(ColumnTest, SliceTakesRange) {
   ASSERT_EQ(s.size(), 4);
   EXPECT_DOUBLE_EQ(s.DoubleAt(0), 3.0);
   EXPECT_DOUBLE_EQ(s.DoubleAt(3), 6.0);
+}
+
+TEST(ColumnTest, SliceSharesTheSourceBuffer) {
+  Column c(DataType::kInt64);
+  for (int i = 0; i < 10; ++i) c.AppendInt64(i);
+  const Column s = c.Slice(2, 6);
+  EXPECT_EQ(s.data64().data(), std::as_const(c).data64().data() + 2);
+  // A slice of a slice offsets into the same buffer.
+  const Column t = s.Slice(1, 3);
+  ASSERT_EQ(t.size(), 3);
+  EXPECT_EQ(t.data64().data(), std::as_const(c).data64().data() + 3);
+  EXPECT_EQ(t.Int64At(0), 3);
+  EXPECT_EQ(t.Int64At(2), 5);
+}
+
+TEST(ColumnTest, WritesNeverReachAnotherColumnThroughAView) {
+  Column c(DataType::kInt32);
+  for (int i = 0; i < 8; ++i) c.AppendInt32(i);
+  Column view = c.Slice(2, 3);
+  // Writing through the view gives it its own copy of its three rows.
+  view.data32()[0] = 100;
+  view.AppendInt32(200);
+  ASSERT_EQ(view.size(), 4);
+  EXPECT_EQ(view.Int32At(0), 100);
+  EXPECT_EQ(view.Int32At(1), 3);
+  EXPECT_EQ(view.Int32At(3), 200);
+  EXPECT_EQ(c.Int32At(2), 2);
+  ASSERT_EQ(c.size(), 8);
+  // Writing to the source while a view shares its buffer leaves the view
+  // reading the old rows.
+  const Column held = c.Slice(0, 4);
+  c.data32()[1] = -1;
+  c.AppendInt32(8);
+  EXPECT_EQ(held.Int32At(1), 1);
+  ASSERT_EQ(held.size(), 4);
+  EXPECT_EQ(c.Int32At(1), -1);
+  EXPECT_EQ(c.size(), 9);
+}
+
+TEST(ColumnTest, CopyOfAViewIsADeepCopyOfItsRows) {
+  Column c(DataType::kFloat64);
+  for (int i = 0; i < 6; ++i) c.AppendDouble(i);
+  const Column view = c.Slice(4, 2);
+  const Column copy = view;
+  ASSERT_EQ(copy.size(), 2);
+  EXPECT_NE(copy.dataf().data(), view.dataf().data());
+  EXPECT_DOUBLE_EQ(copy.DoubleAt(1), 5.0);
+  Column appended = c.Slice(1, 2);
+  ASSERT_TRUE(appended.AppendColumn(view).ok());
+  ASSERT_EQ(appended.size(), 4);
+  EXPECT_DOUBLE_EQ(appended.DoubleAt(0), 1.0);
+  EXPECT_DOUBLE_EQ(appended.DoubleAt(3), 5.0);
+  EXPECT_EQ(c.size(), 6);
 }
 
 TEST(ColumnDeathTest, SliceOutOfRangeAborts) {
