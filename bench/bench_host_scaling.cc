@@ -7,8 +7,7 @@
 ///
 /// Per (threads, query): cold wall (first run, tuner grid search), warm wall
 /// (best of 3, tuning cache hot), speedup vs the serial warm wall, and the
-/// tuning-cache hit rate. JSONL rows go to --out (default
-/// BENCH_host_scaling.json).
+/// tuning-cache hit rate. JSONL rows go to --out when it is given.
 ///
 /// --quick runs {1, 8} threads only and turns the bench into a smoke gate
 /// for scripts/check.sh: exit 1 if any thread count is not bit-identical to
@@ -19,7 +18,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -81,30 +79,11 @@ TimedRun TimedExecute(Engine& engine, const std::string& name,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out = "BENCH_host_scaling.json";
-  bool quick = false;
-  sim::DeviceSpec device = sim::DeviceSpec::AmdA10();
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--out=", 6) == 0) {
-      out = arg + 6;
-    } else if (std::strcmp(arg, "--quick") == 0) {
-      quick = true;
-    } else if (std::strncmp(arg, "--device=", 9) == 0) {
-      Result<sim::DeviceSpec> parsed = ParseDeviceSpec(arg + 9);
-      if (!parsed.ok()) {
-        std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
-        return 2;
-      }
-      device = parsed.take();
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--out=results.jsonl] [--device=amd|nvidia] "
-                   "[--quick]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  const benchutil::BenchArgs args =
+      benchutil::ParseBenchArgs(argc, argv, sim::DeviceSpec::AmdA10());
+  const bool quick = args.quick;
+  const sim::DeviceSpec& device = args.device;
+  const std::string& out = args.out;
 
   const double sf = benchutil::ScaleFactor(quick ? 0.02 : 0.05);
   const tpch::Database& db = benchutil::Db(sf);

@@ -44,7 +44,7 @@ inline const tpch::Database& Db(double scale_factor) {
 }
 
 /// Host threads pinned by `--host-threads=N` (0 = leave ExecOptions at its
-/// hardware-concurrency default). Set by ParseOutPath/ParseBenchArgs and
+/// hardware-concurrency default). Set by ParseBenchArgs and
 /// consumed by Run(), so every bench honors the flag without plumbing it
 /// through each call site.
 inline int& PinnedHostThreads() {
@@ -126,27 +126,6 @@ class JsonlWriter {
  private:
   std::ofstream out_;
 };
-
-/// Parses the common bench flags `--out=<path>` (JSONL results destination)
-/// and `--host-threads=<N>` (host parallelism for every Run() call).
-/// Unknown arguments abort with usage so typos don't silently run a default.
-inline std::string ParseOutPath(int argc, char** argv) {
-  std::string out;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--out=", 6) == 0) {
-      out = arg + 6;
-    } else if (std::strncmp(arg, "--host-threads=", 15) == 0) {
-      PinnedHostThreads() = std::atoi(arg + 15);
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--out=results.jsonl] [--host-threads=N]\n",
-                   argv[0]);
-      std::exit(2);
-    }
-  }
-  return out;
-}
 
 /// Common bench flags for device-parameterized benches: `--out=<path>` plus
 /// `--device=<amd|nvidia>[,<amd|nvidia>...]` (through the library's

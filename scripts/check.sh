@@ -5,17 +5,21 @@
 # tracing smoke run of the CLI whose output is validated by the in-tree
 # JSON parser (via the trace_smoke binary's file-validation mode), an
 # EXPLAIN ANALYZE vs --metrics-json consistency diff (plain and under
-# --mode=fused), a serve-mode telemetry smoke (JSONL snapshots + Prometheus
-# textfile validated by scripts/validate_prom.py), a metrics-overhead
-# wall-clock gate (scripts/bench_diff.py, 3% + 50 ms slack), and the
-# host-scaling / shard-scaling / shared-work / fault / fusion-ablation
-# bench gates.
+# --mode=fused), a sharded EXPLAIN ANALYZE exchange-bytes check
+# (scripts/shard_explain_smoke.py), a serve-mode telemetry smoke (JSONL
+# snapshots + Prometheus textfile validated by scripts/validate_prom.py), a
+# metrics-overhead wall-clock gate (scripts/bench_diff.py, 3% + 50 ms
+# slack), and the host-scaling / shard-scaling / shared-work / fault /
+# fusion-ablation bench gates.
 #
 # Usage: scripts/check.sh [build-dir]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD="${1:-build}"
+# Every smoke below writes its artifacts here; one trap removes them all.
+SCRATCH="$(mktemp -d /tmp/gpl_check.XXXXXX)"
+trap 'rm -rf "$SCRATCH"' EXIT
 
 echo "=== tier-1: configure + build + ctest ==="
 cmake -B "$BUILD" -S .
@@ -75,9 +79,8 @@ ctest --test-dir "$BUILD-asan" --output-on-failure \
 
 echo
 echo "=== trace smoke: gplcli --trace on Q5, JSON validated ==="
-TRACE_OUT="$(mktemp /tmp/gpl_check_trace.XXXXXX.json)"
-METRICS_OUT="$(mktemp /tmp/gpl_check_metrics.XXXXXX.json)"
-trap 'rm -f "$TRACE_OUT" "$METRICS_OUT"' EXIT
+TRACE_OUT="$SCRATCH/trace.json"
+METRICS_OUT="$SCRATCH/metrics.json"
 "$BUILD/cli/gplcli" --query=Q5 --mode=gpl --sf=0.02 \
   --trace="$TRACE_OUT" --metrics-json="$METRICS_OUT"
 "$BUILD/tests/trace_smoke" "$TRACE_OUT"
@@ -89,9 +92,8 @@ echo "=== explain smoke: EXPLAIN ANALYZE actuals vs --metrics-json ==="
 # in the explain report must agree exactly with the QueryMetrics the engine
 # reported for that run (segment cycles sum to elapsed_cycles, totals match
 # field-for-field).
-EXPLAIN_OUT="$(mktemp /tmp/gpl_check_explain.XXXXXX.json)"
-EXPLAIN_METRICS_OUT="$(mktemp /tmp/gpl_check_explain_metrics.XXXXXX.json)"
-trap 'rm -f "$TRACE_OUT" "$METRICS_OUT" "$EXPLAIN_OUT" "$EXPLAIN_METRICS_OUT"' EXIT
+EXPLAIN_OUT="$SCRATCH/explain.json"
+EXPLAIN_METRICS_OUT="$SCRATCH/explain_metrics.json"
 "$BUILD/cli/gplcli" --query=Q8 --mode=gpl --sf=0.02 --explain-analyze \
   --explain-json="$EXPLAIN_OUT" --metrics-json="$EXPLAIN_METRICS_OUT" > /dev/null
 "$BUILD/tests/trace_smoke" "$EXPLAIN_OUT"
@@ -126,9 +128,8 @@ echo "=== fused explain smoke: EXPLAIN ANALYZE under --mode=fused ==="
 # The fused engine's report must stay consistent with --metrics-json from the
 # same run, name each segment's engine, show fusion firing on Q5, and keep
 # the per-segment fusion counters summing to the run totals.
-FUSED_EXPLAIN_OUT="$(mktemp /tmp/gpl_check_fused_explain.XXXXXX.json)"
-FUSED_METRICS_OUT="$(mktemp /tmp/gpl_check_fused_metrics.XXXXXX.json)"
-trap 'rm -f "$TRACE_OUT" "$METRICS_OUT" "$EXPLAIN_OUT" "$EXPLAIN_METRICS_OUT" "$FUSED_EXPLAIN_OUT" "$FUSED_METRICS_OUT"' EXIT
+FUSED_EXPLAIN_OUT="$SCRATCH/fused_explain.json"
+FUSED_METRICS_OUT="$SCRATCH/fused_metrics.json"
 "$BUILD/cli/gplcli" --query=Q5 --mode=fused --sf=0.02 --explain-analyze \
   --explain-json="$FUSED_EXPLAIN_OUT" --metrics-json="$FUSED_METRICS_OUT" \
   > /dev/null
@@ -162,14 +163,22 @@ print(f"fused explain smoke: OK ({len(reports)} queries, "
 PYEOF
 
 echo
+echo "=== sharded explain smoke: EXPLAIN ANALYZE exchanges vs charged bytes ==="
+# At 4 shards every query's relation exchanges must predict exactly the
+# broadcast bytes Execute charges, the gather's actual bytes must be the
+# shuffle bytes, and exchange_bytes must be their sum.
+python3 scripts/shard_explain_smoke.py "$BUILD/cli/gplcli" \
+  "$SCRATCH/shard_explain.json"
+"$BUILD/tests/trace_smoke" "$SCRATCH/shard_explain.json"
+
+echo
 echo "=== serve telemetry smoke: periodic snapshots + Prometheus export ==="
 # A short serve run with the sampler enabled must produce >= 2 JSONL
 # snapshots (each line valid JSON per the in-tree parser) and a textfile
 # that passes the Prometheus 0.0.4 validator with the core service and
 # simulator families present.
-STATS_OUT="$(mktemp /tmp/gpl_check_stats.XXXXXX.jsonl)"
-PROM_OUT="$(mktemp /tmp/gpl_check_prom.XXXXXX.prom)"
-trap 'rm -f "$TRACE_OUT" "$METRICS_OUT" "$EXPLAIN_OUT" "$EXPLAIN_METRICS_OUT" "$FUSED_EXPLAIN_OUT" "$FUSED_METRICS_OUT" "$STATS_OUT" "$PROM_OUT"' EXIT
+STATS_OUT="$SCRATCH/stats.jsonl"
+PROM_OUT="$SCRATCH/prom.prom"
 "$BUILD/cli/gplcli" --query=all --mode=gpl --sf=0.02 \
   --serve-workers=2 --serve-queries=24 --stats-interval-ms=50 \
   --stats-jsonl="$STATS_OUT" --prom-textfile="$PROM_OUT" > /dev/null
@@ -184,9 +193,8 @@ echo "=== metrics overhead: serve wall-clock, registry on vs. off ==="
 # The null-registry fast path must keep metrics cheap: the instrumented run
 # may not exceed the uninstrumented one by more than 3% AND 50 ms (the
 # absolute slack absorbs scheduler noise on short CI runs).
-OVERHEAD_OFF="$(mktemp /tmp/gpl_check_overhead_off.XXXXXX.json)"
-OVERHEAD_ON="$(mktemp /tmp/gpl_check_overhead_on.XXXXXX.json)"
-trap 'rm -f "$TRACE_OUT" "$METRICS_OUT" "$EXPLAIN_OUT" "$EXPLAIN_METRICS_OUT" "$FUSED_EXPLAIN_OUT" "$FUSED_METRICS_OUT" "$STATS_OUT" "$PROM_OUT" "$OVERHEAD_OFF" "$OVERHEAD_ON"' EXIT
+OVERHEAD_OFF="$SCRATCH/overhead_off.json"
+OVERHEAD_ON="$SCRATCH/overhead_on.json"
 serve_wall() {
   "$BUILD/cli/gplcli" --query=all --mode=gpl --sf=0.02 \
     --serve-workers=2 --serve-queries=48 "$@" \
@@ -205,8 +213,7 @@ echo "=== perf smoke: host-scaling bench, bit-identity + cache gates ==="
 # serial, if the warm 8-thread batch exceeds 1.3x the serial warm batch
 # (tolerance for single-core runners), or if the warm tuning-cache hit rate
 # drops below 90%.
-HOST_SCALING_OUT="$(mktemp /tmp/gpl_check_host_scaling.XXXXXX.jsonl)"
-trap 'rm -f "$TRACE_OUT" "$METRICS_OUT" "$EXPLAIN_OUT" "$EXPLAIN_METRICS_OUT" "$FUSED_EXPLAIN_OUT" "$FUSED_METRICS_OUT" "$STATS_OUT" "$PROM_OUT" "$OVERHEAD_OFF" "$OVERHEAD_ON" "$HOST_SCALING_OUT"' EXIT
+HOST_SCALING_OUT="$SCRATCH/host_scaling.jsonl"
 "$BUILD/bench/bench_host_scaling" --quick --out="$HOST_SCALING_OUT"
 
 echo
@@ -222,8 +229,7 @@ echo "=== shard smoke: shard-scaling bench, bit-identity + speedup gates ==="
 # elapsed, 1/speedup, and relation-exchange bytes may not regress (all
 # higher-is-worse; simulated time is deterministic, so the 5% default
 # threshold only absorbs serialization rounding).
-SHARD_SCALING_OUT="$(mktemp /tmp/gpl_check_shard_scaling.XXXXXX.jsonl)"
-trap 'rm -f "$TRACE_OUT" "$METRICS_OUT" "$EXPLAIN_OUT" "$EXPLAIN_METRICS_OUT" "$FUSED_EXPLAIN_OUT" "$FUSED_METRICS_OUT" "$STATS_OUT" "$PROM_OUT" "$OVERHEAD_OFF" "$OVERHEAD_ON" "$HOST_SCALING_OUT" "$SHARD_SCALING_OUT"' EXIT
+SHARD_SCALING_OUT="$SCRATCH/shard_scaling.jsonl"
 "$BUILD/bench/bench_shard_scaling" --quick --out="$SHARD_SCALING_OUT"
 python3 scripts/bench_diff.py bench/baselines/shard_scaling_quick.jsonl \
   "$SHARD_SCALING_OUT" --key case \
@@ -238,8 +244,7 @@ echo "=== shared-work smoke: subplan-cache bench, hit-rate + identity gates ==="
 # deterministic workers=1 rows are then diffed against the committed
 # baseline: cold-scanned rows and subplan misses may not regress (both
 # higher-is-worse and machine-independent).
-SHARED_WORK_OUT="$(mktemp /tmp/gpl_check_shared_work.XXXXXX.jsonl)"
-trap 'rm -f "$TRACE_OUT" "$METRICS_OUT" "$EXPLAIN_OUT" "$EXPLAIN_METRICS_OUT" "$FUSED_EXPLAIN_OUT" "$FUSED_METRICS_OUT" "$STATS_OUT" "$PROM_OUT" "$OVERHEAD_OFF" "$OVERHEAD_ON" "$HOST_SCALING_OUT" "$SHARD_SCALING_OUT" "$SHARED_WORK_OUT"' EXIT
+SHARED_WORK_OUT="$SCRATCH/shared_work.jsonl"
 "$BUILD/bench/bench_shared_work" --quick --out="$SHARED_WORK_OUT"
 python3 scripts/bench_diff.py bench/baselines/shared_work_quick.jsonl \
   "$SHARED_WORK_OUT" --key key \
@@ -249,8 +254,7 @@ echo
 echo "=== fault smoke: availability bench, completion-rate gates ==="
 # --quick exits non-zero if the fault-free run completes < 100% or if the
 # retry policy fails to push completion above 90% at fault rate 0.01.
-FAULT_OUT="$(mktemp /tmp/gpl_check_fault.XXXXXX.jsonl)"
-trap 'rm -f "$TRACE_OUT" "$METRICS_OUT" "$EXPLAIN_OUT" "$EXPLAIN_METRICS_OUT" "$FUSED_EXPLAIN_OUT" "$FUSED_METRICS_OUT" "$STATS_OUT" "$PROM_OUT" "$OVERHEAD_OFF" "$OVERHEAD_ON" "$HOST_SCALING_OUT" "$SHARD_SCALING_OUT" "$SHARED_WORK_OUT" "$FAULT_OUT"' EXIT
+FAULT_OUT="$SCRATCH/fault.jsonl"
 "$BUILD/bench/bench_fault_availability" --quick --out="$FAULT_OUT"
 
 echo
@@ -261,8 +265,7 @@ echo "=== fusion smoke: three-way ablation bench, win-rate + identity gates ==="
 # kernel launches were saved anywhere. The JSONL is then diffed per query
 # against the committed baseline: fused elapsed and the fused/gpl ratio may
 # not regress (both higher-is-worse; simulated time is deterministic).
-FUSION_OUT="$(mktemp /tmp/gpl_check_fusion.XXXXXX.jsonl)"
-trap 'rm -f "$TRACE_OUT" "$METRICS_OUT" "$EXPLAIN_OUT" "$EXPLAIN_METRICS_OUT" "$FUSED_EXPLAIN_OUT" "$FUSED_METRICS_OUT" "$STATS_OUT" "$PROM_OUT" "$OVERHEAD_OFF" "$OVERHEAD_ON" "$HOST_SCALING_OUT" "$SHARD_SCALING_OUT" "$SHARED_WORK_OUT" "$FAULT_OUT" "$FUSION_OUT"' EXIT
+FUSION_OUT="$SCRATCH/fusion.jsonl"
 "$BUILD/bench/bench_fusion_ablation" --quick --out="$FUSION_OUT"
 python3 scripts/bench_diff.py bench/baselines/fusion_ablation_quick.jsonl \
   "$FUSION_OUT" --key case \

@@ -101,16 +101,20 @@ Engine::Engine(const tpch::Database* db, EngineOptions options)
   GPL_CHECK(db != nullptr);
 }
 
-Result<PhysicalOpPtr> Engine::Plan(const LogicalQuery& query) const {
+PlanOptions PlanOptionsFor(const EngineOptions& options) {
   PlanOptions plan_options;
-  if (options_.partitioned_joins) {
+  if (options.partitioned_joins) {
     plan_options.partition_build_threshold_bytes =
-        options_.partition_threshold_bytes > 0
-            ? options_.partition_threshold_bytes
-            : options_.device.cache_bytes / 2;
-    plan_options.num_partitions = options_.num_partitions;
+        options.partition_threshold_bytes > 0
+            ? options.partition_threshold_bytes
+            : options.device.cache_bytes / 2;
+    plan_options.num_partitions = options.num_partitions;
   }
-  return BuildPhysicalPlan(query, catalog_, plan_options);
+  return plan_options;
+}
+
+Result<PhysicalOpPtr> Engine::Plan(const LogicalQuery& query) const {
+  return BuildPhysicalPlan(query, catalog_, PlanOptionsFor(options_));
 }
 
 Result<QueryResult> Engine::Execute(const LogicalQuery& query) {
@@ -166,8 +170,6 @@ Result<shard::ShardedExecutor*> Engine::ShardedFor(const ExecOptions& exec) {
   group.devices = std::move(devices);
   group.link = link;
   EngineOptions executor_options = options_;
-  executor_options.sharded_db = nullptr;  // the executor's engines are leaves
-  executor_options.device_calibrations = nullptr;
   executor_options.tuning_cache = tuning_cache_;
   // Shard engines run over per-shard partitions of the database; subplan
   // data cached against the whole database must never leak into them.
@@ -200,10 +202,6 @@ Result<QueryResult> Engine::Execute(const LogicalQuery& query,
       .Field("plan_ms", result.metrics.OptimizeWallMs())
       << "query executed";
   return result;
-}
-
-Result<QueryResult> Engine::ExecutePlan(const PhysicalOpPtr& plan) {
-  return ExecutePlan(plan, options_.exec);
 }
 
 Result<QueryResult> Engine::ExecutePlan(const PhysicalOpPtr& plan,

@@ -59,8 +59,9 @@ struct EngineOptions {
   EngineMode mode = EngineMode::kGpl;
 
   /// Per-execution options (cost-model toggle, knob overrides, trace sink,
-  /// cancellation token). These are the defaults for Execute()/ExecutePlan();
-  /// the per-call overloads below take a one-off ExecOptions instead.
+  /// cancellation token). These are the defaults for
+  /// Execute()/ExecuteGplDetailed(); the per-call overloads below take a
+  /// one-off ExecOptions instead.
   ExecOptions exec;
 
   /// Use radix-partitioned hash joins (Section 3.2) for builds whose
@@ -111,6 +112,12 @@ struct EngineOptions {
   const std::map<std::string, model::CalibrationTable>* device_calibrations =
       nullptr;
 };
+
+/// The planner options of an engine configured by `options`: radix-
+/// partitioned joins (when enabled) for builds past the threshold, half of
+/// `options.device`'s cache by default. Shared by Engine::Plan and the shard
+/// group's coordinator, so both plan alike.
+PlanOptions PlanOptionsFor(const EngineOptions& options);
 
 /// The public entry point of the library: executes TPC-H-style analytical
 /// queries against a generated database under a chosen execution strategy on
@@ -166,7 +173,6 @@ class Engine {
   Result<shard::ShardedExecutor*> ShardedFor(const ExecOptions& exec);
 
   /// Executes an already-built physical plan.
-  Result<QueryResult> ExecutePlan(const PhysicalOpPtr& plan);
   Result<QueryResult> ExecutePlan(const PhysicalOpPtr& plan,
                                   const ExecOptions& exec);
 

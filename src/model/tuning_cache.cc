@@ -2,7 +2,8 @@
 
 #include <cstdio>
 #include <cstring>
-#include <iterator>
+
+#include "common/eviction.h"
 
 namespace gpl {
 namespace model {
@@ -30,30 +31,42 @@ void AppendInt(std::string* out, long long v) {
 
 TuningCache::TuningCache(size_t max_entries) : max_entries_(max_entries) {}
 
-template <typename Map>
-void TuningCache::EvictOneLocked(Map* map, std::list<std::string>* lru) {
-  // Same policy as pool::SubplanCache: scan the eviction window at the LRU
-  // tail and drop the least re-used entry (recompute cost is uniform for
-  // tuning results, so the cost-aware score is just 1 + hits); on a tie the
-  // entry closer to the tail loses, keeping the more recently used.
-  auto victim = std::prev(lru->end());
-  uint64_t victim_score = map->find(*victim)->second.hits;
-  auto it = std::prev(lru->end());
-  for (int scanned = 1; scanned < kEvictionWindow && it != lru->begin();
-       ++scanned) {
-    --it;
-    const uint64_t score = map->find(*it)->second.hits;
-    if (score < victim_score) {
-      victim = it;
-      victim_score = score;
+template <typename Value>
+std::optional<Value> TuningCache::LookupIn(Memo<Value>* memo,
+                                           const std::string& signature) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = memo->entries.find(signature);
+    if (it != memo->entries.end()) {
+      memo->hits.fetch_add(1, std::memory_order_relaxed);
+      ++it->second.hits;
+      memo->lru.splice(memo->lru.begin(), memo->lru, it->second.lru_it);
+      return it->second.value;
     }
   }
-  auto entry_it = map->find(*victim);
-  bytes_ -= static_cast<int64_t>(victim->size() +
-                                 sizeof(typename Map::mapped_type));
-  map->erase(entry_it);
-  lru->erase(victim);
-  evictions_.fetch_add(1, std::memory_order_relaxed);
+  memo->misses.fetch_add(1, std::memory_order_relaxed);
+  return std::nullopt;
+}
+
+template <typename Value>
+void TuningCache::InsertInto(Memo<Value>* memo, const std::string& signature,
+                             const Value& value) {
+  std::lock_guard<std::mutex> lock(mu_);
+  // First insert wins: concurrent first-misses compute identical values.
+  if (memo->entries.count(signature) > 0) return;
+  while (max_entries_ > 0 && memo->entries.size() >= max_entries_ &&
+         !memo->lru.empty()) {
+    const auto victim = PickEvictionVictim(
+        memo->lru, memo->entries, [](const Entry<Value>&) { return 1.0; });
+    bytes_ -= static_cast<int64_t>(victim->size() + sizeof(Entry<Value>));
+    memo->entries.erase(*victim);
+    memo->lru.erase(victim);
+    evictions_.fetch_add(1, std::memory_order_relaxed);
+  }
+  memo->lru.push_front(signature);
+  memo->entries.emplace(signature,
+                        Entry<Value>{value, 0, memo->lru.begin()});
+  bytes_ += static_cast<int64_t>(signature.size() + sizeof(Entry<Value>));
 }
 
 std::string TuningCache::SegmentSignature(const sim::DeviceSpec& device,
@@ -135,106 +148,56 @@ std::string TuningCache::ExchangePlanSignature(
 
 std::optional<ExchangePlan> TuningCache::LookupExchangePlan(
     const std::string& signature) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = exchange_entries_.find(signature);
-    if (it != exchange_entries_.end()) {
-      exchange_hits_.fetch_add(1, std::memory_order_relaxed);
-      ++it->second.hits;
-      exchange_lru_.splice(exchange_lru_.begin(), exchange_lru_,
-                           it->second.lru_it);
-      return it->second.plan;
-    }
-  }
-  exchange_misses_.fetch_add(1, std::memory_order_relaxed);
-  return std::nullopt;
+  return LookupIn(&exchanges_, signature);
 }
 
 void TuningCache::InsertExchangePlan(const std::string& signature,
                                      const ExchangePlan& plan) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (exchange_entries_.count(signature) > 0) return;  // first insert wins
-  while (max_entries_ > 0 && exchange_entries_.size() >= max_entries_ &&
-         !exchange_lru_.empty()) {
-    EvictOneLocked(&exchange_entries_, &exchange_lru_);
-  }
-  exchange_lru_.push_front(signature);
-  ExchangeEntry entry;
-  entry.plan = plan;
-  entry.lru_it = exchange_lru_.begin();
-  exchange_entries_.emplace(signature, std::move(entry));
-  bytes_ += static_cast<int64_t>(signature.size() + sizeof(ExchangeEntry));
+  InsertInto(&exchanges_, signature, plan);
 }
 
 std::optional<TuningChoice> TuningCache::Lookup(const std::string& signature) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(signature);
-    if (it != entries_.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      ++it->second.hits;
-      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      return it->second.choice;
-    }
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return std::nullopt;
+  return LookupIn(&segments_, signature);
 }
 
 void TuningCache::Insert(const std::string& signature,
                          const TuningChoice& choice) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (entries_.count(signature) > 0) return;  // first wins (values identical)
-  while (max_entries_ > 0 && entries_.size() >= max_entries_ &&
-         !lru_.empty()) {
-    EvictOneLocked(&entries_, &lru_);
-  }
-  lru_.push_front(signature);
-  Entry entry;
-  entry.choice = choice;
-  entry.lru_it = lru_.begin();
-  entries_.emplace(signature, std::move(entry));
-  bytes_ += static_cast<int64_t>(signature.size() + sizeof(Entry));
+  InsertInto(&segments_, signature, choice);
 }
 
 TuningCacheStats TuningCache::stats() const {
   TuningCacheStats stats;
-  stats.hits = hits_.load(std::memory_order_relaxed);
-  stats.misses = misses_.load(std::memory_order_relaxed);
-  stats.exchange_hits = exchange_hits_.load(std::memory_order_relaxed);
-  stats.exchange_misses = exchange_misses_.load(std::memory_order_relaxed);
+  stats.hits = segments_.hits.load(std::memory_order_relaxed);
+  stats.misses = segments_.misses.load(std::memory_order_relaxed);
+  stats.exchange_hits = exchanges_.hits.load(std::memory_order_relaxed);
+  stats.exchange_misses = exchanges_.misses.load(std::memory_order_relaxed);
   stats.evictions = evictions_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mu_);
     stats.bytes = bytes_;
     stats.entries =
-        static_cast<int64_t>(entries_.size() + exchange_entries_.size());
+        static_cast<int64_t>(segments_.entries.size() +
+                             exchanges_.entries.size());
   }
   return stats;
 }
 
 size_t TuningCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
+  return segments_.entries.size();
 }
 
 size_t TuningCache::exchange_size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return exchange_entries_.size();
+  return exchanges_.entries.size();
 }
 
 void TuningCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-  exchange_entries_.clear();
-  lru_.clear();
-  exchange_lru_.clear();
+  segments_.Clear();
+  exchanges_.Clear();
   bytes_ = 0;
   evictions_.store(0, std::memory_order_relaxed);
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-  exchange_hits_.store(0, std::memory_order_relaxed);
-  exchange_misses_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace model

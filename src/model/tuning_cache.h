@@ -58,15 +58,12 @@ struct TuningCacheStats {
 class TuningCache {
  public:
   /// `max_entries` bounds each map (segment choices and exchange plans)
-  /// independently. Past the bound the cache evicts with the same policy as
-  /// pool::SubplanCache — among the `kEvictionWindow` least-recently-used
-  /// entries, drop the least re-used (recompute cost is uniform here, so the
-  /// cost-aware score degenerates to 1 + hits); ties keep the more recently
-  /// used. 0 means unbounded.
+  /// independently. Past the bound the cache evicts by PickEvictionVictim
+  /// (common/eviction.h), the policy pool::SubplanCache uses too; recompute
+  /// cost is uniform here, so the score is 1 + hits. 0 means unbounded.
   explicit TuningCache(size_t max_entries = kDefaultMaxEntries);
 
   static constexpr size_t kDefaultMaxEntries = 65536;
-  static constexpr int kEvictionWindow = 4;
 
   TuningCache(const TuningCache&) = delete;
   TuningCache& operator=(const TuningCache&) = delete;
@@ -118,33 +115,42 @@ class TuningCache {
   void Clear();  ///< drops entries and resets the counters
 
  private:
+  template <typename Value>
   struct Entry {
-    TuningChoice choice;
+    Value value;
     uint64_t hits = 0;
     std::list<std::string>::iterator lru_it;
   };
-  struct ExchangeEntry {
-    ExchangePlan plan;
-    uint64_t hits = 0;
-    std::list<std::string>::iterator lru_it;
+  /// One bounded map (segment choices or exchange plans): its entries, LRU
+  /// order and lookup counters.
+  template <typename Value>
+  struct Memo {
+    std::unordered_map<std::string, Entry<Value>> entries;
+    std::list<std::string> lru;  ///< front = most recently used
+    std::atomic<uint64_t> hits{0};
+    std::atomic<uint64_t> misses{0};
+    void Clear() {
+      entries.clear();
+      lru.clear();
+      hits.store(0, std::memory_order_relaxed);
+      misses.store(0, std::memory_order_relaxed);
+    }
   };
 
-  /// Drops the least re-used entry among the window at the LRU tail of
-  /// `map`/`lru` (ties keep the more recently used). Requires mu_ held.
-  template <typename Map>
-  void EvictOneLocked(Map* map, std::list<std::string>* lru);
+  /// Returns the memoized value, counting a hit; nullopt counts a miss.
+  template <typename Value>
+  std::optional<Value> LookupIn(Memo<Value>* memo,
+                                const std::string& signature);
+  /// Memoizes a fresh value (first insert wins), evicting past the bound.
+  template <typename Value>
+  void InsertInto(Memo<Value>* memo, const std::string& signature,
+                  const Value& value);
 
   const size_t max_entries_;
-  mutable std::mutex mu_;
-  std::unordered_map<std::string, Entry> entries_;
-  std::unordered_map<std::string, ExchangeEntry> exchange_entries_;
-  std::list<std::string> lru_;           ///< front = most recently used
-  std::list<std::string> exchange_lru_;  ///< front = most recently used
+  mutable std::mutex mu_;  ///< guards both memos' maps and LRU lists
+  Memo<TuningChoice> segments_;
+  Memo<ExchangePlan> exchanges_;
   int64_t bytes_ = 0;  ///< approximate retained bytes; guarded by mu_
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> exchange_hits_{0};
-  std::atomic<uint64_t> exchange_misses_{0};
   std::atomic<uint64_t> evictions_{0};
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/eviction.h"
 #include "common/logging.h"
 
 namespace gpl {
@@ -148,25 +149,8 @@ std::optional<PageRun> SubplanCache::AcquireWithEvictionLocked(int64_t bytes) {
 
 bool SubplanCache::EvictOneLocked() {
   if (lru_.empty()) return false;
-  // Scan the LRU tail window and pick the entry cheapest to recompute and
-  // least re-used. Deterministic: ties keep the least-recently-used.
-  auto victim = std::prev(lru_.end());
-  double victim_score = 0.0;
-  bool have_victim = false;
-  auto it = lru_.end();
-  for (int i = 0; i < options_.eviction_window && it != lru_.begin(); ++i) {
-    --it;
-    const Entry& entry = entries_.at(*it);
-    const double score =
-        entry.cost_ms * (1.0 + static_cast<double>(entry.hits));
-    if (!have_victim || score < victim_score) {
-      have_victim = true;
-      victim_score = score;
-      victim = it;
-    }
-  }
-  if (!have_victim) return false;
-  DropEntryLocked(*victim);
+  DropEntryLocked(*PickEvictionVictim(
+      lru_, entries_, [](const Entry& entry) { return entry.cost_ms; }));
   ++stats_.evictions;
   return true;
 }

@@ -25,10 +25,6 @@ struct SubplanCacheOptions {
   /// compute (shared-scan batching needs no retention).
   int64_t capacity_bytes = 64ll * 1024 * 1024;
   int64_t page_bytes = 64 * 1024;
-  /// Cost-aware eviction looks at the `eviction_window` least-recently-used
-  /// entries and evicts the one that is cheapest to recompute and least
-  /// re-used (min cost_ms * (1 + hits)); 1 degenerates to plain LRU.
-  int eviction_window = 4;
 };
 
 /// Counters of a SubplanCache (one consistent snapshot). `hits` includes
@@ -151,8 +147,8 @@ class SubplanCache {
   /// Acquires `bytes` of pages, evicting per policy until it fits or the
   /// cache is out of victims. Empty optional = cannot fit.
   std::optional<PageRun> AcquireWithEvictionLocked(int64_t bytes);
-  /// Evicts the lowest-score entry among the `eviction_window` LRU tail.
-  /// False when nothing is evictable.
+  /// Evicts the entry PickEvictionVictim (common/eviction.h) picks, scoring
+  /// cost_ms * (1 + hits). False when nothing is evictable.
   bool EvictOneLocked();
   void DropEntryLocked(const std::string& key);
 

@@ -287,42 +287,41 @@ std::map<std::string, AttachPoint> FindAttachPoints(const PhysicalOp& subtree,
   return out;
 }
 
-/// Deep-clones the tree, wrapping every non-fact scan that has an exchange
-/// decision in an Exchange operator of the matching kind. The fact scan
-/// stays bare — it is the pivot of the exchange, never itself moved. A
-/// repartitioning relation's operator carries its own traffic only; the
-/// shared spine relocation its plan may include is rendered once, as a
-/// repartition Exchange wrapping `spine_node` (the fact-side child of the
-/// paying relation's attach join) — the operator is an identity on a
-/// device, the relocation is charged at the group level exactly as priced.
+/// The Exchange operator of one report record: the plan node EXPLAIN prints
+/// and the entry it lists are one record, so they cannot disagree.
+PhysicalOpPtr WrapInExchange(PhysicalOpPtr child, const ExchangeOpReport& op) {
+  return MakeExchange(std::move(child), op.kind, op.table, op.predicted_bytes);
+}
+
+/// Deep-clones the tree, wrapping every non-fact scan that has a relation
+/// record in its Exchange operator. The fact scan stays bare — it is the
+/// pivot of the exchange, never itself moved. A repartitioning relation's
+/// operator carries its own traffic only; the shared spine relocation its
+/// plan may include is rendered once, as the `spine` record's repartition
+/// Exchange wrapping `spine_node` (the fact-side child of the paying
+/// relation's attach join) — the operator is an identity on a device, the
+/// relocation is charged at the group level exactly as priced.
 PhysicalOpPtr AnnotateExchanges(
     const PhysicalOp& op, const std::string& fact,
-    const std::map<std::string, const model::ExchangeDecision*>& decisions,
-    const PhysicalOp* spine_node, const std::string& spine_table,
-    int64_t spine_bytes) {
+    const std::map<std::string, const ExchangeOpReport*>& relations,
+    const PhysicalOp* spine_node, const ExchangeOpReport* spine) {
   auto copy = std::make_shared<PhysicalOp>(op);
   if (op.child != nullptr) {
-    copy->child = AnnotateExchanges(*op.child, fact, decisions, spine_node,
-                                    spine_table, spine_bytes);
+    copy->child =
+        AnnotateExchanges(*op.child, fact, relations, spine_node, spine);
   }
   if (op.build_child != nullptr) {
-    copy->build_child = AnnotateExchanges(*op.build_child, fact, decisions,
-                                          spine_node, spine_table,
-                                          spine_bytes);
+    copy->build_child =
+        AnnotateExchanges(*op.build_child, fact, relations, spine_node, spine);
   }
   PhysicalOpPtr result = std::move(copy);
   if (op.kind == PhysicalOp::Kind::kScan && op.table != fact) {
-    auto it = decisions.find(op.table);
-    if (it != decisions.end()) {
-      const model::ExchangeDecision& d = *it->second;
-      result = MakeExchange(std::move(result), KindForStrategy(d.strategy),
-                            op.table, d.bytes - d.spine_bytes);
+    auto it = relations.find(op.table);
+    if (it != relations.end()) {
+      result = WrapInExchange(std::move(result), *it->second);
     }
   }
-  if (&op == spine_node) {
-    result = MakeExchange(std::move(result), ExchangeKind::kRepartition,
-                          "spine:" + spine_table, spine_bytes);
-  }
+  if (&op == spine_node) result = WrapInExchange(std::move(result), *spine);
   return result;
 }
 
@@ -427,19 +426,14 @@ ShardedExecutor::ShardedExecutor(
 
 Result<PhysicalOpPtr> ShardedExecutor::PlanQuery(
     const LogicalQuery& query) const {
-  PlanOptions plan_options;
-  if (options_.partitioned_joins) {
-    plan_options.partition_build_threshold_bytes =
-        options_.partition_threshold_bytes > 0
-            ? options_.partition_threshold_bytes
-            : group_.devices.front().cache_bytes / 2;
-    plan_options.num_partitions = options_.num_partitions;
-  }
-  return BuildPhysicalPlan(query, catalog_, plan_options);
+  // Device 0's engine options: the planner sizes partitioned joins against
+  // the coordinator device, exactly as a single engine on it would.
+  return BuildPhysicalPlan(query, catalog_,
+                           PlanOptionsFor(engines_.front()->options()));
 }
 
-Result<ShardedExecutor::SplitPlan> ShardedExecutor::SplitAndInject(
-    const PhysicalOpPtr& plan) const {
+Result<PhysicalOpPtr> ShardedExecutor::SplitAndInject(
+    const PhysicalOpPtr& plan, DistributedPlan* dist) const {
   const std::string& fact = sharded_->fact_table();
   const int fact_scans = CountFactScans(*plan, fact);
   if (fact_scans != 1) {
@@ -468,10 +462,9 @@ Result<ShardedExecutor::SplitPlan> ShardedExecutor::SplitAndInject(
   }
   GPL_CHECK(start < path.size());  // the fact scan is never a blocker
 
-  SplitPlan split;
-  split.boundary = path[start].node;
+  dist->boundary = path[start].node;
   const PhysicalOp* fact_scan = path.back().node;
-  split.rowid_column = fact_scan->alias.empty()
+  dist->rowid_column = fact_scan->alias.empty()
                            ? std::string(kRowIdColumn)
                            : fact_scan->alias + "_" + kRowIdColumn;
 
@@ -486,7 +479,7 @@ Result<ShardedExecutor::SplitPlan> ShardedExecutor::SplitAndInject(
     auto copy = std::make_shared<PhysicalOp>(*path[i].node);
     if (copy->kind == PhysicalOp::Kind::kProject) {
       copy->projections.push_back(
-          {split.rowid_column, Col(split.rowid_column)});
+          {dist->rowid_column, Col(dist->rowid_column)});
     } else if (copy->kind == PhysicalOp::Kind::kScan) {
       copy->columns.push_back(kRowIdColumn);
     }
@@ -497,8 +490,7 @@ Result<ShardedExecutor::SplitPlan> ShardedExecutor::SplitAndInject(
     }
     parent = copy.get();
   }
-  split.shard_plan = std::move(cloned);
-  return split;
+  return cloned;
 }
 
 Result<model::ExchangePlan> ShardedExecutor::ExchangeForPlan(
@@ -547,6 +539,12 @@ Result<model::ExchangePlan> ShardedExecutor::ExchangeForPlan(
 Result<ShardedExecutor::DistributedPlan> ShardedExecutor::PlanDistributed(
     const PhysicalOpPtr& plan) const {
   DistributedPlan dist;
+  ExchangeOpReport gather;
+  gather.kind = ExchangeKind::kGather;
+  // Each strategy picks its shard subtree and prices its gather; `priced`
+  // is the subtree of the original plan whose scans the exchange prices.
+  PhysicalOpPtr shard_subtree;
+  const PhysicalOp* priced = nullptr;
 
   // Partial-aggregate pushdown: the root spine must be [sort|project|filter]*
   // above one aggregate whose input subtree provably partitions.
@@ -565,107 +563,83 @@ Result<ShardedExecutor::DistributedPlan> ShardedExecutor::PlanDistributed(
   DistInfo info;
   if (agg != nullptr && agg->child != nullptr &&
       ClassifySubtree(*agg->child, *sharded_, &info) && info.partitioned) {
-    GPL_ASSIGN_OR_RETURN(dist.exchange, ExchangeForPlan(*agg->child));
-    std::map<std::string, const model::ExchangeDecision*> decisions;
-    for (const model::ExchangeDecision& d : dist.exchange.decisions) {
-      decisions.emplace(d.table, &d);
-    }
-    // The paying repartition's spine relocation renders as a repartition
-    // Exchange wrapping the fact-side child of its attach join.
-    const PhysicalOp* spine_node = nullptr;
-    if (dist.exchange.has_spine) {
-      const std::map<std::string, AttachPoint> attach_points =
-          FindAttachPoints(*agg->child, sharded_->fact_table());
-      auto it = attach_points.find(dist.exchange.spine_table);
-      if (it != attach_points.end()) spine_node = it->second.spine_node;
-    }
     auto partial = std::make_shared<PhysicalOp>(*agg);
-    partial->child =
-        AnnotateExchanges(*agg->child, sharded_->fact_table(), decisions,
-                          spine_node, dist.exchange.spine_table,
-                          dist.exchange.spine_bytes);
     partial->partial_aggregate = true;
-    dist.gather_bytes = EstimatePartialGatherBytes(*agg, group_.size());
-    dist.shard_plan = MakeExchange(std::move(partial), ExchangeKind::kGather,
-                                   "partial-aggregates", dist.gather_bytes);
+    shard_subtree = std::move(partial);
+    priced = shard_subtree.get();
     dist.boundary = agg;
     dist.partial_aggregate = true;
-    return dist;
+    gather.table = "partial-aggregates";
+    gather.predicted_bytes = EstimatePartialGatherBytes(*agg, group_.size());
+  } else {
+    // Fallback: thread l_rowid through the shard subtree and stitch rows.
+    // The exchange is priced on the original boundary subtree: the clone's
+    // extra rowid column would widen its attach-join spine estimates.
+    GPL_ASSIGN_OR_RETURN(shard_subtree, SplitAndInject(plan, &dist));
+    priced = dist.boundary;
+    gather.table = "shard-partials";
+    // Rough gather estimate: the subtree's output rows (plus l_rowid) ship
+    // from every non-resident shard; (N-1)/N of them live off-device.
+    const int64_t cols =
+        static_cast<int64_t>(OutputColumns(*shard_subtree).size()) + 1;
+    gather.predicted_bytes = static_cast<int64_t>(
+        dist.boundary->est_rows * 8.0 * static_cast<double>(cols) *
+        static_cast<double>(group_.size() - 1) /
+        static_cast<double>(group_.size()));
   }
 
-  // Fallback: thread l_rowid through the shard subtree and stitch rows.
-  GPL_ASSIGN_OR_RETURN(SplitPlan split, SplitAndInject(plan));
-  GPL_ASSIGN_OR_RETURN(dist.exchange, ExchangeForPlan(*split.boundary));
-  std::map<std::string, const model::ExchangeDecision*> decisions;
+  // One record per Exchange operator, in EXPLAIN order: each relation's
+  // own traffic, the shared spine relocation (its ms is already in the
+  // payer's decision — one DMA — so the entry reports 0 and the entries
+  // still sum to the plan totals), then the gather.
+  GPL_ASSIGN_OR_RETURN(dist.exchange, ExchangeForPlan(*priced));
   for (const model::ExchangeDecision& d : dist.exchange.decisions) {
-    decisions.emplace(d.table, &d);
+    dist.exchanges.push_back(
+        {d.table, KindForStrategy(d.strategy), d.bytes - d.spine_bytes, d.ms});
   }
-  // The spine node must come from the tree AnnotateExchanges walks: the
-  // rowid-threaded clone, not the original boundary subtree.
-  const PhysicalOp* spine_node = nullptr;
+  const ExchangeOpReport* spine = nullptr;
   if (dist.exchange.has_spine) {
+    dist.exchanges.push_back({"spine:" + dist.exchange.spine_table,
+                              ExchangeKind::kRepartition,
+                              dist.exchange.spine_bytes, 0.0});
+    spine = &dist.exchanges.back();
+  }
+  std::map<std::string, const ExchangeOpReport*> relations;
+  for (size_t i = 0; i < dist.exchange.decisions.size(); ++i) {
+    relations.emplace(dist.exchanges[i].table, &dist.exchanges[i]);
+  }
+  // The spine node must come from the tree AnnotateExchanges walks (for the
+  // stitch, the rowid-threaded clone, not the original boundary subtree).
+  const PhysicalOp* spine_node = nullptr;
+  if (spine != nullptr) {
     const std::map<std::string, AttachPoint> attach_points =
-        FindAttachPoints(*split.shard_plan, sharded_->fact_table());
+        FindAttachPoints(*shard_subtree, sharded_->fact_table());
     auto it = attach_points.find(dist.exchange.spine_table);
     if (it != attach_points.end()) spine_node = it->second.spine_node;
   }
   PhysicalOpPtr annotated = AnnotateExchanges(
-      *split.shard_plan, sharded_->fact_table(), decisions, spine_node,
-      dist.exchange.spine_table, dist.exchange.spine_bytes);
-  // Rough gather estimate: the subtree's output rows (plus l_rowid) ship
-  // from every non-resident shard; (N-1)/N of them live off-device.
-  const int64_t cols =
-      static_cast<int64_t>(OutputColumns(*split.shard_plan).size()) + 1;
-  dist.gather_bytes = static_cast<int64_t>(
-      split.boundary->est_rows * 8.0 * static_cast<double>(cols) *
-      static_cast<double>(group_.size() - 1) /
-      static_cast<double>(group_.size()));
-  dist.shard_plan = MakeExchange(std::move(annotated), ExchangeKind::kGather,
-                                 "shard-partials", dist.gather_bytes);
-  dist.boundary = split.boundary;
-  dist.rowid_column = split.rowid_column;
+      *shard_subtree, sharded_->fact_table(), relations, spine_node, spine);
+  // The gather: every non-resident shard sends its share over the link,
+  // one serialized transfer each (a multi-device group has senders >= 1).
+  const int senders = group_.size() - 1;
+  gather.predicted_ms = static_cast<double>(senders) *
+                        link_.TransferMs(gather.predicted_bytes / senders);
+  dist.shard_plan = WrapInExchange(std::move(annotated), gather);
+  dist.exchanges.push_back(std::move(gather));
   return dist;
 }
 
 Result<DistributedExplain> ShardedExecutor::Explain(
     const LogicalQuery& query) const {
-  DistributedExplain out;
-  out.num_shards = group_.size();
   GPL_ASSIGN_OR_RETURN(PhysicalOpPtr plan, PlanQuery(query));
   if (group_.size() == 1) {
     // Single-device group: the plain plan runs as-is, nothing is exchanged.
-    out.plan_text = PlanToString(*plan);
-    return out;
+    return DistributedExplain{1, false, PlanToString(*plan), {}};
   }
   GPL_ASSIGN_OR_RETURN(DistributedPlan dist, PlanDistributed(plan));
-  out.partial_aggregate = dist.partial_aggregate;
-  out.plan_text = PlanToString(*dist.shard_plan);
-  out.exchanges.reserve(dist.exchange.decisions.size() + 2);
-  for (const model::ExchangeDecision& d : dist.exchange.decisions) {
-    // Report the relation's own traffic; the shared spine relocation gets
-    // its own entry below. The payer's ms already covers both (one DMA), so
-    // the spine entry reports 0 ms — entries still sum to the plan totals.
-    out.exchanges.push_back(
-        {d.table, KindForStrategy(d.strategy), d.bytes - d.spine_bytes, d.ms});
-  }
-  if (dist.exchange.has_spine) {
-    out.exchanges.push_back({"spine:" + dist.exchange.spine_table,
-                             ExchangeKind::kRepartition,
-                             dist.exchange.spine_bytes, 0.0});
-  }
-  ExchangeOpReport gather;
-  gather.table =
-      dist.partial_aggregate ? "partial-aggregates" : "shard-partials";
-  gather.kind = ExchangeKind::kGather;
-  gather.predicted_bytes = dist.gather_bytes;
-  const int senders = group_.size() - 1;
-  if (senders > 0 && dist.gather_bytes > 0) {
-    sim::Link probe(group_.link);
-    gather.predicted_ms = static_cast<double>(senders) *
-                          probe.TransferMs(dist.gather_bytes / senders);
-  }
-  out.exchanges.push_back(std::move(gather));
-  return out;
+  return DistributedExplain{group_.size(), dist.partial_aggregate,
+                            PlanToString(*dist.shard_plan),
+                            std::move(dist.exchanges)};
 }
 
 Result<QueryResult> ShardedExecutor::Execute(const LogicalQuery& query) {

@@ -128,14 +128,6 @@ class ShardedExecutor {
                               const ExecOptions& exec);
 
  private:
-  /// The fallback split: the shard subtree with l_rowid threaded to its
-  /// root, plus the node of the *original* plan it replaces.
-  struct SplitPlan {
-    PhysicalOpPtr shard_plan;
-    const PhysicalOp* boundary = nullptr;
-    std::string rowid_column;  ///< l_rowid's (possibly alias-renamed) name
-  };
-
   /// A fully planned distributed execution (either merge strategy): the
   /// exchange-annotated per-shard plan, the substitution point in the
   /// original plan, and the priced exchanges.
@@ -143,18 +135,25 @@ class ShardedExecutor {
     bool partial_aggregate = false;
     PhysicalOpPtr shard_plan;
     const PhysicalOp* boundary = nullptr;
-    std::string rowid_column;       ///< fallback path only
-    model::ExchangePlan exchange;   ///< per-relation decisions (non-fact)
-    int64_t gather_bytes = 0;       ///< estimated gather traffic (EXPLAIN)
+    std::string rowid_column;      ///< fallback path only
+    model::ExchangePlan exchange;  ///< per-relation decisions and totals
+    /// One entry per Exchange operator of `shard_plan`, each built from the
+    /// same record as its operator: the relation decisions, the spine
+    /// relocation, then the gather (what EXPLAIN renders).
+    std::vector<ExchangeOpReport> exchanges;
   };
 
   /// Physical plan over the unpartitioned catalog (shared by Execute and
   /// Explain so both see identical plans).
   Result<PhysicalOpPtr> PlanQuery(const LogicalQuery& query) const;
-  /// Picks the merge strategy and annotates the per-shard plan with
+  /// Picks the merge strategy's shard subtree, then annotates it with
   /// Exchange operators (cost-model priced, TuningCache-memoized).
   Result<DistributedPlan> PlanDistributed(const PhysicalOpPtr& plan) const;
-  Result<SplitPlan> SplitAndInject(const PhysicalOpPtr& plan) const;
+  /// The fallback split: sets `dist`'s boundary (the node of the original
+  /// plan the merge replaces) and rowid column, and returns the shard
+  /// subtree with l_rowid threaded to its root.
+  Result<PhysicalOpPtr> SplitAndInject(const PhysicalOpPtr& plan,
+                                       DistributedPlan* dist) const;
   /// Exchange plan for the tables scanned inside the shard subtree (tables
   /// above the boundary run on the merge device and are never shipped).
   Result<model::ExchangePlan> ExchangeForPlan(

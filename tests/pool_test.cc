@@ -285,7 +285,6 @@ TEST(SubplanCacheTest, CapacityZeroStillAttachesInFlight) {
 /// invalidates a payload a consumer still holds.
 TEST(SubplanCacheTest, EvictsColdEntriesUnderPressureAndKeepsServedPins) {
   SubplanCacheOptions options = SmallCache(4);
-  options.eviction_window = 2;
   SubplanCache cache(options);
 
   ASSERT_TRUE(cache.Acquire("a").owner);

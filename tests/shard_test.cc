@@ -739,6 +739,87 @@ TEST(ShardedExecutorTest, PartialCombineFlagMatchesExplain) {
       << "no query exercised the partial-aggregate pushdown";
 }
 
+/// The distinct Exchange operators rendered in an EXPLAIN plan text, as
+/// their `Exchange[<kind> <table> bytes=<n>]` labels.
+std::set<std::string> RenderedExchanges(const std::string& plan_text) {
+  std::set<std::string> labels;
+  for (size_t at = plan_text.find("Exchange["); at != std::string::npos;
+       at = plan_text.find("Exchange[", at + 1)) {
+    labels.insert(plan_text.substr(at, plan_text.find(']', at) - at + 1));
+  }
+  return labels;
+}
+
+TEST(ShardedExecutorTest, ExplainedExchangesAreThePlanAndTheChargedBytes) {
+  // EXPLAIN renders the plan Execute runs: every reported exchange is an
+  // Exchange operator of the plan text and every operator is reported (as
+  // sets — Q7 scans nation twice, so one record wraps two scans), and the
+  // relation exchanges' predicted bytes are exactly the broadcast traffic
+  // Execute charges. The suites push their aggregates down; stripped of
+  // aggregation the same queries take the row-id stitch, so both merge
+  // strategies are covered.
+  std::vector<std::pair<std::string, LogicalQuery>> workload =
+      queries::EvaluationSuite();
+  for (auto& entry : queries::ExtendedSuite()) {
+    workload.push_back(std::move(entry));
+  }
+  int combines = 0;
+  for (const PartitionScheme scheme :
+       {PartitionScheme::kHash, PartitionScheme::kRange}) {
+    for (const int n : {2, 4}) {
+      PartitionOptions poptions;
+      poptions.num_shards = n;
+      poptions.scheme = scheme;
+      Result<ShardedDatabase> sharded = PartitionDatabase(SmallDb(), poptions);
+      ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+      ShardedExecutor executor(
+          &SmallDb(), &*sharded,
+          DeviceGroup::Homogeneous(sim::DeviceSpec::AmdA10(), n),
+          EngineOptions{}, &SharedCalibrations());
+      for (const auto& [name, query] : workload) {
+        for (const bool stitch : {false, true}) {
+          SCOPED_TRACE(name + (stitch ? " without aggregation" : "") + " on " +
+                       std::to_string(n) + " shards (" +
+                       shard::PartitionSchemeName(scheme) + ")");
+          LogicalQuery q = query;
+          if (stitch) {
+            q.group_by.clear();
+            q.aggregates.clear();
+            q.post_aggregate.clear();
+            q.order_by.clear();
+          }
+          Result<shard::DistributedExplain> plan = executor.Explain(q);
+          ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+          std::set<std::string> reported;
+          int64_t relation_bytes = 0;
+          for (const shard::ExchangeOpReport& ex : plan->exchanges) {
+            reported.insert("Exchange[" +
+                            std::string(ExchangeKindName(ex.kind)) + " " +
+                            ex.table +
+                            " bytes=" + std::to_string(ex.predicted_bytes) +
+                            "]");
+            if (ex.kind != ExchangeKind::kGather) {
+              relation_bytes += ex.predicted_bytes;
+            }
+          }
+          EXPECT_EQ(reported, RenderedExchanges(plan->plan_text))
+              << plan->plan_text;
+
+          Result<QueryResult> got = executor.Execute(q);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          EXPECT_EQ(got->metrics.partial_combine, plan->partial_aggregate);
+          if (stitch) {
+            EXPECT_FALSE(plan->partial_aggregate);
+          }
+          combines += plan->partial_aggregate ? 1 : 0;
+          EXPECT_EQ(relation_bytes, got->metrics.broadcast_bytes);
+        }
+      }
+    }
+  }
+  EXPECT_GT(combines, 0) << "no case exercised the partial-aggregate merge";
+}
+
 // ---- Compound-key co-partitioning ----
 
 /// Two-table database whose join needs BOTH key columns: every order carries
