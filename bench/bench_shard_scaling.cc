@@ -7,8 +7,8 @@
 /// Per (shards, query): simulated elapsed, speedup vs single device,
 /// exchange bytes/ms (dimension broadcast + partial shuffle over the link),
 /// merge ms, mean device utilization, and whether the sharded result is
-/// bit-identical to the single-device table. JSONL rows go to --out
-/// (default BENCH_shard_scaling.json).
+/// bit-identical to the single-device table. JSONL rows go to --out when
+/// given.
 ///
 /// --quick runs shard counts {1, 2, 4} only and turns the bench into a
 /// smoke gate for scripts/check.sh: exit 1 if any sharded result is not
@@ -23,13 +23,13 @@
 /// (bench/baselines/shard_scaling_quick.jsonl); "inv_speedup" is
 /// 1 / speedup, so higher-is-worse like every other diffed field.
 ///
-/// Flags: --device=<list> uses a mixed group when given several names
-/// (shard counts then sweep only sizes equal to the list length);
-/// --link-gbps=<G> overrides the link bandwidth; --partition=hash|range
-/// picks the partitioning scheme.
+/// Flags (benchutil::ParseBenchArgs): --device=<list> uses a mixed group
+/// when given several names (shard counts then sweep only sizes equal to the
+/// list length); --link-gbps=<G> overrides the link bandwidth;
+/// --partition=hash|range picks the partitioning scheme; --host-threads=<N>
+/// sets the host threads.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -67,49 +67,17 @@ bool TablesBitIdentical(const Table& expected, const Table& actual) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out = "BENCH_shard_scaling.json";
-  bool quick = false;
-  std::vector<sim::DeviceSpec> devices = {sim::DeviceSpec::AmdA10()};
-  double link_gbps = 0.0;
-  shard::PartitionScheme scheme = shard::PartitionScheme::kHash;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--out=", 6) == 0) {
-      out = arg + 6;
-    } else if (std::strcmp(arg, "--quick") == 0) {
-      quick = true;
-    } else if (std::strncmp(arg, "--device=", 9) == 0) {
-      Result<std::vector<sim::DeviceSpec>> parsed = ParseDeviceList(arg + 9);
-      if (!parsed.ok()) {
-        std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
-        return 2;
-      }
-      devices = parsed.take();
-    } else if (std::strncmp(arg, "--link-gbps=", 12) == 0) {
-      link_gbps = std::atof(arg + 12);
-    } else if (std::strncmp(arg, "--partition=", 12) == 0) {
-      Result<shard::PartitionScheme> parsed =
-          shard::ParsePartitionScheme(arg + 12);
-      if (!parsed.ok()) {
-        std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
-        return 2;
-      }
-      scheme = parsed.take();
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--out=results.jsonl] [--device=amd,nvidia,...] "
-                   "[--link-gbps=G] [--partition=hash|range] [--quick]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  const benchutil::BenchArgs args =
+      benchutil::ParseBenchArgs(argc, argv, sim::DeviceSpec::AmdA10());
+  const std::vector<sim::DeviceSpec> devices =
+      args.devices.empty() ? std::vector<sim::DeviceSpec>{args.device}
+                           : args.devices;
+  const shard::PartitionScheme scheme = args.partition;
 
   // Sharding pays off only once data volume dominates fixed launch
   // overhead, so this bench defaults to a larger SF than the others.
   const double sf = benchutil::ScaleFactor(0.1);
   const tpch::Database& db = benchutil::Db(sf);
-  sim::LinkSpec link;
-  if (link_gbps > 0.0) link.gbytes_per_sec = link_gbps;
   benchutil::Banner(
       "Shard scaling",
       ("simulated elapsed vs shard count, bit-identical results (" +
@@ -145,6 +113,7 @@ int main(int argc, char** argv) {
   options.device = devices.front();
   options.calibration = &calibrations.at(devices.front().name);
   options.device_calibrations = &calibrations;
+  options.exec.host_threads = args.host_threads;
   Engine engine(&db, options);
   std::vector<QueryResult> truth;
   for (auto& [name, query] : workload) {
@@ -159,11 +128,11 @@ int main(int argc, char** argv) {
   if (devices.size() > 1) {
     shard_counts = {static_cast<int>(devices.size())};
   } else {
-    shard_counts = quick ? std::vector<int>{1, 2, 4}
+    shard_counts = args.quick ? std::vector<int>{1, 2, 4}
                          : std::vector<int>{1, 2, 4, 8};
   }
 
-  benchutil::JsonlWriter jsonl(out);
+  benchutil::JsonlWriter jsonl(args.out);
   std::printf("%7s %6s %13s %9s %14s %11s %7s %7s\n", "shards", "query",
               "elapsed (ms)", "speedup", "exchange (KB)", "merge (ms)",
               "util", "bit-id");
@@ -183,13 +152,10 @@ int main(int argc, char** argv) {
     ExecOptions exec = options.exec;
     exec.shards = n;
     exec.partition = scheme;
-    exec.link_gbps = link_gbps;
+    exec.link_gbps = args.link_gbps;
     if (devices.size() > 1) exec.device_list = devices;
     const std::string group_label =
-        devices.size() > 1
-            ? shard::DeviceGroup{devices, link}.ToString()
-            : shard::DeviceGroup::Homogeneous(devices.front(), n, link)
-                  .ToString();
+        shard::DeviceGroup::FromExec(exec, devices.front()).ToString();
 
     for (size_t q = 0; q < workload.size(); ++q) {
       const auto& [name, query] = workload[q];
@@ -249,11 +215,13 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  if (jsonl.enabled()) std::printf("results written to %s\n", out.c_str());
+  if (jsonl.enabled()) {
+    std::printf("results written to %s\n", args.out.c_str());
+  }
   std::printf("(elapsed = max over devices + serialized exchange + serial "
               "merge on device 0)\n");
 
-  if (quick && devices.size() == 1) {
+  if (args.quick && devices.size() == 1) {
     int failures = 0;
     if (!all_bit_identical) {
       std::fprintf(

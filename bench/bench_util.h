@@ -12,6 +12,7 @@
 #include "engine/engine.h"
 #include "engine/metrics_json.h"
 #include "queries/tpch_queries.h"
+#include "shard/partition_scheme.h"
 
 namespace gpl {
 namespace benchutil {
@@ -131,7 +132,8 @@ class JsonlWriter {
 /// `--device=<amd|nvidia>[,<amd|nvidia>...]` (through the library's
 /// ParseDeviceList rather than a per-bench hand-rolled name switch),
 /// `--host-threads=<N>`, and the sharding knobs `--shards=<N>` /
-/// `--link-gbps=<G>` (mirrored into ExecOptions by Run()).
+/// `--link-gbps=<G>` (mirrored into ExecOptions by Run()) and
+/// `--partition=<hash|range>` (read by shard-aware benches).
 struct BenchArgs {
   std::string out;
   sim::DeviceSpec device;  ///< first device of the list (single-device benches)
@@ -139,6 +141,7 @@ struct BenchArgs {
   int host_threads = 0;  ///< 0 = hardware concurrency (mirrors ExecOptions)
   int shards = 0;        ///< 0 = bench default
   double link_gbps = 0.0;  ///< 0 = LinkSpec default
+  shard::PartitionScheme partition = shard::PartitionScheme::kHash;
   /// `--engine=<gpl|kbe|noce|ocelot|fused>` — restricts engine-sweep benches
   /// to one mode (same spellings as the CLI flag). Unset when absent.
   bool has_engine = false;
@@ -172,6 +175,14 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv,
     } else if (std::strncmp(arg, "--link-gbps=", 12) == 0) {
       args.link_gbps = std::atof(arg + 12);
       PinnedLinkGbps() = args.link_gbps;
+    } else if (std::strncmp(arg, "--partition=", 12) == 0) {
+      Result<shard::PartitionScheme> partition =
+          shard::ParsePartitionScheme(arg + 12);
+      if (!partition.ok()) {
+        std::fprintf(stderr, "%s\n", partition.status().ToString().c_str());
+        std::exit(2);
+      }
+      args.partition = partition.take();
     } else if (std::strncmp(arg, "--engine=", 9) == 0) {
       Result<EngineMode> engine = ParseEngineMode(arg + 9);
       if (!engine.ok()) {
@@ -186,6 +197,7 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv,
       std::fprintf(stderr,
                    "usage: %s [--out=results.jsonl] [--device=amd|nvidia,...] "
                    "[--host-threads=N] [--shards=N] [--link-gbps=G] "
+                   "[--partition=hash|range] "
                    "[--engine=gpl|kbe|noce|ocelot|fused] [--quick]\n",
                    argv[0]);
       std::exit(2);

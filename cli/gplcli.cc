@@ -284,9 +284,9 @@ int RunQuery(Engine& engine, const tpch::Database& db, const CliOptions& cli,
       // plus the cost model's per-exchange predictions.
       Result<shard::ShardedExecutor*> sharded =
           engine.ShardedFor(engine.options().exec);
-      Result<shard::DistributedExplain> dist =
-          sharded.ok() ? (*sharded)->Explain(query)
-                       : Result<shard::DistributedExplain>(sharded.status());
+      Result<shard::DistributedPlan> dist =
+          sharded.ok() ? (*sharded)->Plan(query)
+                       : Result<shard::DistributedPlan>(sharded.status());
       if (!dist.ok()) {
         std::fprintf(stderr, "planning %s failed: %s\n", name.c_str(),
                      dist.status().ToString().c_str());
@@ -295,7 +295,7 @@ int RunQuery(Engine& engine, const tpch::Database& db, const CliOptions& cli,
       std::printf("=== %s (%d shards, %s merge) ===\n%s", name.c_str(),
                   dist->num_shards,
                   dist->partial_aggregate ? "combine" : "stitch",
-                  dist->plan_text.c_str());
+                  PlanToString(*dist->shard_plan).c_str());
       std::printf("exchanges over %s:\n",
                   (*sharded)->link().spec().name.c_str());
       for (const shard::ExchangeOpReport& ex : dist->exchanges) {
@@ -407,9 +407,7 @@ bool EmitSnapshot(const obs::MetricsRegistry& registry, int seq,
 /// submission, the driver drains the oldest in-flight query and retries —
 /// the closed loop keeps the service saturated without overrunning it.
 int RunServe(const tpch::Database& db, const CliOptions& cli,
-             const EngineOptions& engine_options,
-             const std::vector<sim::DeviceSpec>& devices,
-             const sim::LinkSpec& link, shard::PartitionScheme scheme) {
+             const EngineOptions& engine_options) {
   Result<std::vector<std::pair<std::string, LogicalQuery>>> workload_or =
       SelectWorkload(cli.query);
   if (!workload_or.ok()) {
@@ -438,12 +436,6 @@ int RunServe(const tpch::Database& db, const CliOptions& cli,
     sopts.fault.channel_alloc_fail_rate = cli.fault_rate;
   }
   sopts.retry.max_attempts = cli.max_retries + 1;
-  if (cli.shards > 1) {
-    sopts.num_shards = cli.shards;
-    sopts.partition_scheme = scheme;
-    if (devices.size() > 1) sopts.devices = devices;
-    sopts.link = link;
-  }
 
   std::printf("serving %d queries (%s mix) on %d workers, queue capacity %d"
               "%s%s...\n",
@@ -802,8 +794,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--link-gbps must be positive\n");
     return 2;
   }
-  sim::LinkSpec link;
-  if (cli.link_gbps > 0.0) link.gbytes_per_sec = cli.link_gbps;
   if (cli.tile_kb > 0) {
     options.exec.use_cost_model = false;
     options.exec.overrides.tile_bytes = cli.tile_kb * 1024;
@@ -815,7 +805,6 @@ int main(int argc, char** argv) {
   options.partitioned_joins = cli.partitioned;
   options.exec.host_threads = cli.host_threads;
   options.exec.use_tuning_cache = !cli.no_tuning_cache;
-  options.exec.use_subplan_cache = !cli.no_subplan_cache;
   // Sharded execution is routed through Engine::Execute: ExecOptions carries
   // the shard count, partition scheme, device group and link bandwidth.
   options.exec.shards = cli.shards;
@@ -825,7 +814,7 @@ int main(int argc, char** argv) {
 
   // ---- Serve mode ----
   if (cli.serve_workers > 0) {
-    return RunServe(db, cli, options, devices, link, *scheme_or);
+    return RunServe(db, cli, options);
   }
 
   // ---- Tracing / profiling ----

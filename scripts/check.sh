@@ -88,79 +88,16 @@ METRICS_OUT="$SCRATCH/metrics.json"
 
 echo
 echo "=== explain smoke: EXPLAIN ANALYZE actuals vs --metrics-json ==="
-# One invocation emits both files from the same run; the per-segment actuals
-# in the explain report must agree exactly with the QueryMetrics the engine
-# reported for that run (segment cycles sum to elapsed_cycles, totals match
-# field-for-field).
-EXPLAIN_OUT="$SCRATCH/explain.json"
-EXPLAIN_METRICS_OUT="$SCRATCH/explain_metrics.json"
-"$BUILD/cli/gplcli" --query=Q8 --mode=gpl --sf=0.02 --explain-analyze \
-  --explain-json="$EXPLAIN_OUT" --metrics-json="$EXPLAIN_METRICS_OUT" > /dev/null
-"$BUILD/tests/trace_smoke" "$EXPLAIN_OUT"
-"$BUILD/tests/trace_smoke" "$EXPLAIN_METRICS_OUT"
-python3 - "$EXPLAIN_OUT" "$EXPLAIN_METRICS_OUT" <<'PYEOF'
-import json, sys
-reports = {r["query"]: r for r in json.load(open(sys.argv[1]))}
-entries = {e["query"]: e for e in json.load(open(sys.argv[2]))}
-checked = 0
-for query, report in reports.items():
-    entry = entries[query]
-    for field in ("elapsed_cycles", "elapsed_ms", "predicted_ms",
-                  "channel_bytes", "materialized_bytes", "degraded_segments",
-                  "fused_segments", "fused_launches_saved",
-                  "fused_bytes_avoided",
-                  "tuning_cache_hits", "tuning_cache_misses",
-                  "subplan_cache_hits", "subplan_cache_misses"):
-        if report["metrics"][field] != entry[field]:
-            sys.exit(f"{query}.{field}: explain {report['metrics'][field]} "
-                     f"!= metrics-json {entry[field]}")
-        checked += 1
-    seg_sum = sum(s["actual_cycles"] for s in report["segments"])
-    total = entry["elapsed_cycles"]
-    # %.9g serialization rounds each segment independently.
-    if abs(seg_sum - total) > 1e-6 * max(total, 1.0):
-        sys.exit(f"{query}: segment cycles {seg_sum} != total {total}")
-print(f"explain smoke: OK ({len(reports)} queries, {checked} fields match)")
-PYEOF
-
-echo
-echo "=== fused explain smoke: EXPLAIN ANALYZE under --mode=fused ==="
-# The fused engine's report must stay consistent with --metrics-json from the
-# same run, name each segment's engine, show fusion firing on Q5, and keep
-# the per-segment fusion counters summing to the run totals.
-FUSED_EXPLAIN_OUT="$SCRATCH/fused_explain.json"
-FUSED_METRICS_OUT="$SCRATCH/fused_metrics.json"
-"$BUILD/cli/gplcli" --query=Q5 --mode=fused --sf=0.02 --explain-analyze \
-  --explain-json="$FUSED_EXPLAIN_OUT" --metrics-json="$FUSED_METRICS_OUT" \
-  > /dev/null
-"$BUILD/tests/trace_smoke" "$FUSED_EXPLAIN_OUT"
-python3 - "$FUSED_EXPLAIN_OUT" "$FUSED_METRICS_OUT" <<'PYEOF'
-import json, sys
-reports = {r["query"]: r for r in json.load(open(sys.argv[1]))}
-entries = {e["query"]: e for e in json.load(open(sys.argv[2]))}
-for query, report in reports.items():
-    entry = entries[query]
-    for field in ("elapsed_cycles", "elapsed_ms", "fused_segments",
-                  "fused_launches_saved", "fused_bytes_avoided"):
-        if report["metrics"][field] != entry[field]:
-            sys.exit(f"{query}.{field}: explain {report['metrics'][field]} "
-                     f"!= metrics-json {entry[field]}")
-    if entry["fused_segments"] < 1:
-        sys.exit(f"{query}: fusion did not fire under --mode=fused")
-    segments = report["segments"]
-    if "fused" not in {s["engine"] for s in segments}:
-        sys.exit(f"{query}: no segment reports engine=fused")
-    saved = sum(s["launches_saved"] for s in segments)
-    if saved != entry["fused_launches_saved"]:
-        sys.exit(f"{query}: segment launches_saved {saved} != total "
-                 f"{entry['fused_launches_saved']}")
-    avoided = sum(s["fused_bytes_avoided"] for s in segments)
-    if avoided != entry["fused_bytes_avoided"]:
-        sys.exit(f"{query}: segment fused_bytes_avoided {avoided} != total "
-                 f"{entry['fused_bytes_avoided']}")
-print(f"fused explain smoke: OK ({len(reports)} queries, "
-      f"{entries['Q5']['fused_launches_saved']} launches saved)")
-PYEOF
+# Each gplcli invocation emits both files from the same run; the per-segment
+# actuals in the explain report must agree exactly with the QueryMetrics the
+# engine reported for that run (segment cycles sum to elapsed_cycles, totals
+# match field-for-field). Under --mode=fused the report must also name each
+# segment's engine, show fusion firing on Q5, and keep the per-segment
+# fusion counters summing to the run totals.
+python3 scripts/explain_smoke.py "$BUILD/cli/gplcli" "$SCRATCH"
+"$BUILD/tests/trace_smoke" "$SCRATCH/explain.json"
+"$BUILD/tests/trace_smoke" "$SCRATCH/explain_metrics.json"
+"$BUILD/tests/trace_smoke" "$SCRATCH/fused_explain.json"
 
 echo
 echo "=== sharded explain smoke: EXPLAIN ANALYZE exchanges vs charged bytes ==="

@@ -10,6 +10,12 @@ and checks, for every query of the report:
   * the one gather's actual bytes equal the run's shuffle_bytes;
   * exchange_bytes equals broadcast_bytes + shuffle_bytes.
 
+The first check holds by construction: the simulator ships no bytes, so a
+relation exchange is charged from the very DistributedPlan record EXPLAIN
+ANALYZE prints, and its actual_bytes is read from that record. The measured
+checks are the second (the entries against what Execute charged) and the
+third (the gather against what the shards really produced).
+
 Usage: scripts/shard_explain_smoke.py <gplcli> <json-out> [--sf=0.02]
 Exits 1 with the first violation, 0 when every query holds.
 """

@@ -225,10 +225,7 @@ Result<GplRunResult> GplExecutor::Run(const SegmentedPlan& plan,
   // fault must hit the same launch/reservation sites as isolated execution,
   // and a cache hit would skip some of them.
   pool::SubplanCache* cache =
-      (subplan_cache_ != nullptr && options.exec.use_subplan_cache &&
-       options.exec.fault == nullptr)
-          ? subplan_cache_
-          : nullptr;
+      options.exec.fault == nullptr ? subplan_cache_ : nullptr;
 
   std::vector<std::shared_ptr<const Table>> outputs(plan.segments.size());
   for (size_t i = 0; i < plan.segments.size(); ++i) {

@@ -127,25 +127,14 @@ Result<shard::ShardedExecutor*> Engine::ShardedFor(const ExecOptions& exec) {
         "ShardedFor requires a sharded ExecOptions (shards > 1 or a "
         "multi-entry device_list)");
   }
-  // The sharding shape: devices (explicit list, or N copies of the engine's
-  // own device), partition scheme and link bandwidth.
-  std::vector<sim::DeviceSpec> devices = exec.device_list;
-  if (devices.empty()) {
-    devices.assign(static_cast<size_t>(exec.shards), options_.device);
-  }
-  const int num_shards = static_cast<int>(devices.size());
-  sim::LinkSpec link;
-  if (exec.link_gbps > 0.0) link.gbytes_per_sec = exec.link_gbps;
-
-  std::string signature = shard::PartitionSchemeName(exec.partition);
-  signature += '|';
-  signature += std::to_string(num_shards);
-  signature += '|';
-  signature += std::to_string(link.gbytes_per_sec);
-  for (const sim::DeviceSpec& device : devices) {
-    signature += '|';
-    signature += device.name;
-  }
+  // The sharding shape: the group ExecOptions describes (explicit list, or
+  // N copies of the engine's own device, over the link) and the scheme.
+  shard::DeviceGroup group =
+      shard::DeviceGroup::FromExec(exec, options_.device);
+  const int num_shards = group.size();
+  std::string signature =
+      std::string(shard::PartitionSchemeName(exec.partition)) + '|' +
+      std::to_string(group.link.gbytes_per_sec) + '|' + group.ToString();
   if (sharded_state_ != nullptr && sharded_state_->signature == signature) {
     return sharded_state_->executor.get();
   }
@@ -166,9 +155,6 @@ Result<shard::ShardedExecutor*> Engine::ShardedFor(const ExecOptions& exec) {
     state->sharded = &*state->owned_sharded;
   }
 
-  shard::DeviceGroup group;
-  group.devices = std::move(devices);
-  group.link = link;
   EngineOptions executor_options = options_;
   executor_options.tuning_cache = tuning_cache_;
   // Shard engines run over per-shard partitions of the database; subplan

@@ -168,8 +168,9 @@ class Engine {
   }
 
   /// The sharded executor Execute() would use for `exec` — built (or reused)
-  /// without executing anything. EXPLAIN paths call this to render exchange
-  /// operators. Fails with kInvalidArgument when `exec` is not sharded.
+  /// without executing anything. EXPLAIN paths call this to plan a query
+  /// once (ShardedExecutor::Plan) and, for EXPLAIN ANALYZE, run that same
+  /// plan. Fails with kInvalidArgument when `exec` is not sharded.
   Result<shard::ShardedExecutor*> ShardedFor(const ExecOptions& exec);
 
   /// Executes an already-built physical plan.

@@ -79,17 +79,8 @@ struct ExecOptions {
   /// Disable (--no-tuning-cache) to re-run the grid search every segment.
   bool use_tuning_cache = true;
 
-  /// Memoize materialized subplan data (build-side hash tables, decoded scan
-  /// views, segment results) in the engine's pool::SubplanCache when one is
-  /// configured (EngineOptions::subplan_cache). A hit replays the timing
-  /// simulation from the cold run's recorded observations, so every
-  /// simulated observable — result table, counters, elapsed_ms — is
-  /// bit-identical to cache-off execution; only host wall-clock drops.
-  /// Automatically bypassed when `fault` is set (injected faults must hit
-  /// the same sites as isolated execution). Disable via --no-subplan-cache.
-  bool use_subplan_cache = true;
-
-  /// Sharded-execution routing (--shards / --partition / --link-gbps).
+  /// Sharded-execution routing (--shards / --partition / --link-gbps), and
+  /// the one description of a shard group (shard::DeviceGroup::FromExec).
   /// `Engine::Execute(query, exec)` IS the sharded entry point: shards > 1
   /// (or more than one entry in `device_list`) makes it partition its
   /// database lazily and fan the query out over a shard::ShardedExecutor —

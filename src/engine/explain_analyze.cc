@@ -246,16 +246,22 @@ Result<ExplainAnalyzeReport> ExplainAnalyze(Engine& engine,
   if (Engine::IsShardedExec(exec)) {
     GPL_ASSIGN_OR_RETURN(shard::ShardedExecutor * sharded,
                          engine.ShardedFor(exec));
-    GPL_ASSIGN_OR_RETURN(shard::DistributedExplain dist,
-                         sharded->Explain(query));
-    GPL_ASSIGN_OR_RETURN(QueryResult result, sharded->Execute(query, exec));
+    // Planned once: the plan printed is the plan run and charged.
+    const auto plan_start = std::chrono::steady_clock::now();
+    GPL_ASSIGN_OR_RETURN(shard::DistributedPlan dist, sharded->Plan(query));
+    const double plan_wall_ms =
+        std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - plan_start)
+            .count();
+    GPL_ASSIGN_OR_RETURN(QueryResult result, sharded->Execute(dist, exec));
 
     ExplainAnalyzeReport report;
     report.query = query.name;
     report.mode = EngineModeName(mode);
     report.device = sharded->group().ToString();
-    report.plan_text = dist.plan_text;
+    report.plan_text = PlanToString(*dist.shard_plan);
     report.metrics = result.metrics;
+    report.metrics.plan_wall_ms += plan_wall_ms;
     report.output_rows = result.table.num_rows();
     report.num_shards = dist.num_shards;
     report.partial_combine = result.metrics.partial_combine;
@@ -264,9 +270,10 @@ Result<ExplainAnalyzeReport> ExplainAnalyze(Engine& engine,
       entry.table = ex.table;
       entry.kind = std::string(ExchangeKindName(ex.kind));
       entry.predicted_bytes = ex.predicted_bytes;
-      // Broadcast/repartition traffic is charged exactly as priced; the
-      // final gather ships whatever the shards really produced, which
-      // Execute() recorded as shuffle_bytes.
+      // Relation exchanges are charged from this very record (the simulator
+      // ships no bytes), so their actual equals the prediction by
+      // construction; the gather ships whatever the shards really produced,
+      // which Execute() recorded as shuffle_bytes.
       entry.actual_bytes = ex.kind == ExchangeKind::kGather
                                ? result.metrics.shuffle_bytes
                                : ex.predicted_bytes;

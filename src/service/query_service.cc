@@ -168,9 +168,9 @@ QueryService::QueryService(const tpch::Database* db, ServiceOptions options)
   // leaf scans batch onto one in-flight compute. Sharded services keep it
   // off — shard engines run over per-shard partitions, so whole-database
   // entries would be unsound there (the engine also nulls it for leaves).
+  const bool sharded_exec = Engine::IsShardedExec(options_.engine.exec);
   options_.engine.subplan_cache =
-      options_.subplan_cache && options_.num_shards <= 1 ? &subplan_cache_
-                                                         : nullptr;
+      options_.subplan_cache && !sharded_exec ? &subplan_cache_ : nullptr;
   if (options_.engine.metrics == nullptr) {
     options_.engine.metrics = options_.metrics;
   }
@@ -244,23 +244,14 @@ QueryService::QueryService(const tpch::Database* db, ServiceOptions options)
     }
   }
 
-  if (options_.num_shards > 1) {
-    // Partition once; every worker's ShardedExecutor reads the same shards.
-    if (options_.devices.empty()) {
-      group_ = shard::DeviceGroup::Homogeneous(options_.engine.device,
-                                               options_.num_shards,
-                                               options_.link);
-    } else {
-      GPL_CHECK(static_cast<int>(options_.devices.size()) ==
-                options_.num_shards)
-          << "ServiceOptions::devices has " << options_.devices.size()
-          << " entries but num_shards=" << options_.num_shards;
-      group_.devices = options_.devices;
-      group_.link = options_.link;
-    }
+  if (sharded_exec) {
+    // Partition once; every worker's ShardedExecutor reads the same shards,
+    // over the group the workers' ExecOptions describe.
+    group_ = shard::DeviceGroup::FromExec(options_.engine.exec,
+                                          options_.engine.device);
     shard::PartitionOptions partition;
-    partition.num_shards = options_.num_shards;
-    partition.scheme = options_.partition_scheme;
+    partition.num_shards = group_.size();
+    partition.scheme = options_.engine.exec.partition;
     Result<shard::ShardedDatabase> sharded =
         shard::PartitionDatabase(*db_, partition);
     GPL_CHECK(sharded.ok()) << sharded.status().ToString();
@@ -274,21 +265,13 @@ QueryService::QueryService(const tpch::Database* db, ServiceOptions options)
             model::CalibrationTable::Run(sim::Simulator(device)));
       }
     }
-    stats_.device_busy_ms.assign(static_cast<size_t>(options_.num_shards),
-                                 0.0);
-    stats_.device_queries.assign(static_cast<size_t>(options_.num_shards), 0);
+    stats_.device_busy_ms.assign(static_cast<size_t>(group_.size()), 0.0);
+    stats_.device_queries.assign(static_cast<size_t>(group_.size()), 0);
 
-    // Workers ride the unified Engine::Execute surface: the shared
-    // pre-partitioned database and per-device calibrations go in
-    // EngineOptions (so no worker re-partitions or re-calibrates), and the
-    // sharding shape goes in the default ExecOptions (so every execution
-    // routes through the engine's ShardedExecutor).
+    // The shared pre-partitioned database and per-device calibrations go in
+    // EngineOptions, so no worker re-partitions or re-calibrates.
     options_.engine.sharded_db = &*sharded_;
     options_.engine.device_calibrations = &shard_calibrations_;
-    options_.engine.exec.shards = options_.num_shards;
-    options_.engine.exec.partition = options_.partition_scheme;
-    options_.engine.exec.device_list = group_.devices;
-    options_.engine.exec.link_gbps = options_.link.gbytes_per_sec;
   }
 
   workers_.reserve(static_cast<size_t>(options_.num_workers));

@@ -73,7 +73,15 @@ struct ServiceOptions {
   double default_timeout_ms = 0.0;
 
   /// Template for the per-worker engines: device, mode, partitioned joins,
-  /// default ExecOptions. `exec.trace` is forced to nullptr (a collector
+  /// default ExecOptions. A sharded `exec` (shards > 1 or a multi-entry
+  /// device_list; with partition and link_gbps) makes the service sharded:
+  /// it partitions the database once at construction, calibrates each
+  /// distinct device once, and shares both with every worker engine
+  /// (EngineOptions::sharded_db / device_calibrations), so queries route
+  /// through Engine::Execute onto that device group. Placement is
+  /// whole-group per query: one query occupies all devices of its worker's
+  /// group for its duration, and retries re-run the entire sharded
+  /// execution. `exec.trace` is forced to nullptr (a collector
   /// cannot be shared across workers — use ExportTrace() for a service-level
   /// timeline) and `calibration` is replaced by the service's shared table.
   /// `exec.fault` is likewise forced to nullptr: a FaultInjector is mutable
@@ -90,22 +98,6 @@ struct ServiceOptions {
 
   /// Retry policy for transient device errors.
   RetryPolicy retry;
-
-  /// Sharded execution (> 1): the service partitions the database once at
-  /// construction (shard::PartitionDatabase), shares it with every worker
-  /// engine via EngineOptions::sharded_db, and sets the sharding shape on
-  /// the workers' default ExecOptions — queries then route through the
-  /// unified Engine::Execute surface onto a device group of this size.
-  /// Placement is whole-group per query: one query occupies all devices of
-  /// its worker's group for its duration, and retries re-run the entire
-  /// sharded execution. 1 (the default) keeps the single-device path.
-  int num_shards = 1;
-  shard::PartitionScheme partition_scheme = shard::PartitionScheme::kHash;
-  /// Device group template. Empty = num_shards copies of engine.device;
-  /// non-empty (a mixed group) must have exactly num_shards entries.
-  std::vector<sim::DeviceSpec> devices;
-  /// Interconnect of the group (exchange cost model).
-  sim::LinkSpec link;
 
   /// Shared-work execution: one pool::SubplanCache for all workers. A hash
   /// table built (or a scan view decoded) by any worker is a hit for every
@@ -291,7 +283,8 @@ class QueryService {
 
   const model::CalibrationTable& calibration() const { return calibration_; }
   const ServiceOptions& options() const { return options_; }
-  /// True when queries run through sharded execution (num_shards > 1).
+  /// True when queries run through sharded execution (a sharded
+  /// `options().engine.exec`).
   bool sharded() const { return sharded_.has_value(); }
   /// The per-worker device-group template (empty group when !sharded()).
   const shard::DeviceGroup& device_group() const { return group_; }

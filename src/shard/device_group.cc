@@ -1,5 +1,7 @@
 #include "shard/device_group.h"
 
+#include "engine/exec_options.h"
+
 namespace gpl {
 namespace shard {
 
@@ -8,6 +10,18 @@ DeviceGroup DeviceGroup::Homogeneous(const sim::DeviceSpec& spec, int n,
   DeviceGroup group;
   group.devices.assign(static_cast<size_t>(n < 1 ? 1 : n), spec);
   group.link = std::move(link);
+  return group;
+}
+
+DeviceGroup DeviceGroup::FromExec(const ExecOptions& exec,
+                                  const sim::DeviceSpec& device) {
+  DeviceGroup group;
+  if (exec.device_list.empty()) {
+    group = Homogeneous(device, exec.shards);
+  } else {
+    group.devices = exec.device_list;
+  }
+  if (exec.link_gbps > 0.0) group.link.gbytes_per_sec = exec.link_gbps;
   return group;
 }
 

@@ -8,6 +8,9 @@
 #include "sim/link.h"
 
 namespace gpl {
+
+struct ExecOptions;
+
 namespace shard {
 
 /// A group of simulated devices executing one sharded query — homogeneous
@@ -23,6 +26,13 @@ struct DeviceGroup {
   /// N identical devices over `link`.
   static DeviceGroup Homogeneous(const sim::DeviceSpec& spec, int n,
                                  sim::LinkSpec link = {});
+
+  /// The group `exec` describes: `exec.device_list`, or `exec.shards`
+  /// copies of `device` when the list is empty, over the default link at
+  /// `exec.link_gbps` (when > 0). Engine::ShardedFor and the QueryService
+  /// both derive their group here, so a group is described in one place.
+  static DeviceGroup FromExec(const ExecOptions& exec,
+                              const sim::DeviceSpec& device);
 
   /// "amd x4 over pcie3" / "amd+nvidia over pcie3" (for banners and traces).
   std::string ToString() const;

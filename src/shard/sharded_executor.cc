@@ -424,25 +424,18 @@ ShardedExecutor::ShardedExecutor(
   }
 }
 
-Result<PhysicalOpPtr> ShardedExecutor::PlanQuery(
-    const LogicalQuery& query) const {
-  // Device 0's engine options: the planner sizes partitioned joins against
-  // the coordinator device, exactly as a single engine on it would.
-  return BuildPhysicalPlan(query, catalog_,
-                           PlanOptionsFor(engines_.front()->options()));
-}
-
 Result<PhysicalOpPtr> ShardedExecutor::SplitAndInject(
-    const PhysicalOpPtr& plan, DistributedPlan* dist) const {
+    DistributedPlan* dist) const {
+  const PhysicalOp& plan = *dist->plan;
   const std::string& fact = sharded_->fact_table();
-  const int fact_scans = CountFactScans(*plan, fact);
+  const int fact_scans = CountFactScans(plan, fact);
   if (fact_scans != 1) {
     return Status::Unimplemented(
         "sharded execution requires exactly one scan of the partitioned fact "
         "table '" + fact + "'; plan has " + std::to_string(fact_scans));
   }
   std::vector<PathStep> path;
-  GPL_CHECK(FindFactPath(*plan, fact, false, &path));
+  GPL_CHECK(FindFactPath(plan, fact, false, &path));
 
   // The shard subtree is the maximal subtree whose probe spine bottoms out
   // at the fact scan. Walking the root-to-fact path, it starts just past
@@ -536,9 +529,7 @@ Result<model::ExchangePlan> ShardedExecutor::ExchangeForPlan(
                              tuning_cache_);
 }
 
-Result<ShardedExecutor::DistributedPlan> ShardedExecutor::PlanDistributed(
-    const PhysicalOpPtr& plan) const {
-  DistributedPlan dist;
+Status ShardedExecutor::PlanDistributed(DistributedPlan* dist) const {
   ExchangeOpReport gather;
   gather.kind = ExchangeKind::kGather;
   // Each strategy picks its shard subtree and prices its gather; `priced`
@@ -549,7 +540,8 @@ Result<ShardedExecutor::DistributedPlan> ShardedExecutor::PlanDistributed(
   // Partial-aggregate pushdown: the root spine must be [sort|project|filter]*
   // above one aggregate whose input subtree provably partitions.
   const PhysicalOp* agg = nullptr;
-  for (const PhysicalOp* n = plan.get(); n != nullptr; n = n->child.get()) {
+  for (const PhysicalOp* n = dist->plan.get(); n != nullptr;
+       n = n->child.get()) {
     if (n->kind == PhysicalOp::Kind::kAggregate) {
       agg = n;
       break;
@@ -567,23 +559,23 @@ Result<ShardedExecutor::DistributedPlan> ShardedExecutor::PlanDistributed(
     partial->partial_aggregate = true;
     shard_subtree = std::move(partial);
     priced = shard_subtree.get();
-    dist.boundary = agg;
-    dist.partial_aggregate = true;
+    dist->boundary = agg;
+    dist->partial_aggregate = true;
     gather.table = "partial-aggregates";
     gather.predicted_bytes = EstimatePartialGatherBytes(*agg, group_.size());
   } else {
     // Fallback: thread l_rowid through the shard subtree and stitch rows.
     // The exchange is priced on the original boundary subtree: the clone's
     // extra rowid column would widen its attach-join spine estimates.
-    GPL_ASSIGN_OR_RETURN(shard_subtree, SplitAndInject(plan, &dist));
-    priced = dist.boundary;
+    GPL_ASSIGN_OR_RETURN(shard_subtree, SplitAndInject(dist));
+    priced = dist->boundary;
     gather.table = "shard-partials";
     // Rough gather estimate: the subtree's output rows (plus l_rowid) ship
     // from every non-resident shard; (N-1)/N of them live off-device.
     const int64_t cols =
         static_cast<int64_t>(OutputColumns(*shard_subtree).size()) + 1;
     gather.predicted_bytes = static_cast<int64_t>(
-        dist.boundary->est_rows * 8.0 * static_cast<double>(cols) *
+        dist->boundary->est_rows * 8.0 * static_cast<double>(cols) *
         static_cast<double>(group_.size() - 1) /
         static_cast<double>(group_.size()));
   }
@@ -592,21 +584,21 @@ Result<ShardedExecutor::DistributedPlan> ShardedExecutor::PlanDistributed(
   // own traffic, the shared spine relocation (its ms is already in the
   // payer's decision — one DMA — so the entry reports 0 and the entries
   // still sum to the plan totals), then the gather.
-  GPL_ASSIGN_OR_RETURN(dist.exchange, ExchangeForPlan(*priced));
-  for (const model::ExchangeDecision& d : dist.exchange.decisions) {
-    dist.exchanges.push_back(
+  GPL_ASSIGN_OR_RETURN(dist->exchange, ExchangeForPlan(*priced));
+  for (const model::ExchangeDecision& d : dist->exchange.decisions) {
+    dist->exchanges.push_back(
         {d.table, KindForStrategy(d.strategy), d.bytes - d.spine_bytes, d.ms});
   }
   const ExchangeOpReport* spine = nullptr;
-  if (dist.exchange.has_spine) {
-    dist.exchanges.push_back({"spine:" + dist.exchange.spine_table,
-                              ExchangeKind::kRepartition,
-                              dist.exchange.spine_bytes, 0.0});
-    spine = &dist.exchanges.back();
+  if (dist->exchange.has_spine) {
+    dist->exchanges.push_back({"spine:" + dist->exchange.spine_table,
+                               ExchangeKind::kRepartition,
+                               dist->exchange.spine_bytes, 0.0});
+    spine = &dist->exchanges.back();
   }
   std::map<std::string, const ExchangeOpReport*> relations;
-  for (size_t i = 0; i < dist.exchange.decisions.size(); ++i) {
-    relations.emplace(dist.exchanges[i].table, &dist.exchanges[i]);
+  for (size_t i = 0; i < dist->exchange.decisions.size(); ++i) {
+    relations.emplace(dist->exchanges[i].table, &dist->exchanges[i]);
   }
   // The spine node must come from the tree AnnotateExchanges walks (for the
   // stitch, the rowid-threaded clone, not the original boundary subtree).
@@ -614,7 +606,7 @@ Result<ShardedExecutor::DistributedPlan> ShardedExecutor::PlanDistributed(
   if (spine != nullptr) {
     const std::map<std::string, AttachPoint> attach_points =
         FindAttachPoints(*shard_subtree, sharded_->fact_table());
-    auto it = attach_points.find(dist.exchange.spine_table);
+    auto it = attach_points.find(dist->exchange.spine_table);
     if (it != attach_points.end()) spine_node = it->second.spine_node;
   }
   PhysicalOpPtr annotated = AnnotateExchanges(
@@ -624,70 +616,77 @@ Result<ShardedExecutor::DistributedPlan> ShardedExecutor::PlanDistributed(
   const int senders = group_.size() - 1;
   gather.predicted_ms = static_cast<double>(senders) *
                         link_.TransferMs(gather.predicted_bytes / senders);
-  dist.shard_plan = WrapInExchange(std::move(annotated), gather);
-  dist.exchanges.push_back(std::move(gather));
-  return dist;
+  dist->shard_plan = WrapInExchange(std::move(annotated), gather);
+  dist->exchanges.push_back(std::move(gather));
+  return Status::OK();
 }
 
-Result<DistributedExplain> ShardedExecutor::Explain(
+Result<DistributedPlan> ShardedExecutor::Plan(
     const LogicalQuery& query) const {
-  GPL_ASSIGN_OR_RETURN(PhysicalOpPtr plan, PlanQuery(query));
+  DistributedPlan dist;
+  dist.query = query.name;
+  dist.num_shards = group_.size();
+  // Planned once, on the unpartitioned database's statistics, with device
+  // 0's engine options: the planner sizes partitioned joins against the
+  // coordinator device, exactly as a single engine on it would.
+  GPL_ASSIGN_OR_RETURN(
+      dist.plan, BuildPhysicalPlan(query, catalog_,
+                                   PlanOptionsFor(engines_.front()->options())));
   if (group_.size() == 1) {
     // Single-device group: the plain plan runs as-is, nothing is exchanged.
-    return DistributedExplain{1, false, PlanToString(*plan), {}};
+    dist.shard_plan = dist.plan;
+    return dist;
   }
-  GPL_ASSIGN_OR_RETURN(DistributedPlan dist, PlanDistributed(plan));
-  return DistributedExplain{group_.size(), dist.partial_aggregate,
-                            PlanToString(*dist.shard_plan),
-                            std::move(dist.exchanges)};
+  GPL_RETURN_NOT_OK(PlanDistributed(&dist));
+  return dist;
 }
 
 Result<QueryResult> ShardedExecutor::Execute(const LogicalQuery& query) {
   return Execute(query, options_.exec);
 }
 
-Result<QueryResult> ShardedExecutor::ExecuteSingle(const LogicalQuery& query,
-                                                   const ExecOptions& exec) {
-  // A 1-device group's shard holds the full database, so the plain
-  // single-device path is exact: no partitioning, no rowid stitch, no
-  // exchange — the sharding tax is structurally zero.
-  ExecOptions single = exec;
-  single.shards = 1;
-  single.device_list.clear();
-  GPL_ASSIGN_OR_RETURN(QueryResult result,
-                       engines_.front()->Execute(query, single));
-  QueryMetrics& m = result.metrics;
-  m.num_shards = 1;
-  m.device_elapsed_ms = {m.elapsed_ms};
-  m.device_utilization = {1.0};
-  if (!slot_busy_gauges_.empty()) {
-    obs::Add(slot_busy_gauges_.front(), m.elapsed_ms);
-  }
-  return result;
-}
-
 Result<QueryResult> ShardedExecutor::Execute(const LogicalQuery& query,
                                              const ExecOptions& exec) {
-  if (exec.cancel != nullptr) GPL_RETURN_NOT_OK(exec.cancel->Check());
-  if (group_.size() == 1) return ExecuteSingle(query, exec);
-  const sim::DeviceSpec& device0 = group_.devices.front();
-
-  // Plan once, on the unpartitioned database's statistics: every shard runs
-  // the same exchange-annotated plan, exactly as a coordinator would ship it.
   const auto plan_start = std::chrono::steady_clock::now();
-  GPL_ASSIGN_OR_RETURN(PhysicalOpPtr plan, PlanQuery(query));
-  GPL_ASSIGN_OR_RETURN(DistributedPlan dist, PlanDistributed(plan));
+  GPL_ASSIGN_OR_RETURN(DistributedPlan dist, Plan(query));
   const double plan_wall_ms = std::chrono::duration<double, std::milli>(
                                   std::chrono::steady_clock::now() - plan_start)
                                   .count();
+  GPL_ASSIGN_OR_RETURN(QueryResult result, Execute(dist, exec));
+  result.metrics.plan_wall_ms += plan_wall_ms;
+  return result;
+}
+
+Result<QueryResult> ShardedExecutor::Execute(const DistributedPlan& dist,
+                                             const ExecOptions& exec) {
+  if (dist.num_shards != group_.size()) {
+    return Status::InvalidArgument(
+        "plan for " + std::to_string(dist.num_shards) +
+        " shards run on a group of " + std::to_string(group_.size()));
+  }
+  if (exec.cancel != nullptr) GPL_RETURN_NOT_OK(exec.cancel->Check());
+  if (group_.size() == 1) {
+    // A 1-device group's shard holds the full database, so the plain plan
+    // is exact: no partitioning, no rowid stitch, no exchange — the
+    // sharding tax is structurally zero.
+    GPL_ASSIGN_OR_RETURN(QueryResult result,
+                         engines_.front()->ExecutePlan(dist.shard_plan, exec));
+    QueryMetrics& m = result.metrics;
+    m.num_shards = 1;
+    m.device_elapsed_ms = {m.elapsed_ms};
+    m.device_utilization = {1.0};
+    if (!slot_busy_gauges_.empty()) {
+      obs::Add(slot_busy_gauges_.front(), m.elapsed_ms);
+    }
+    return result;
+  }
+  const sim::DeviceSpec& device0 = group_.devices.front();
 
   // Per-shard execution. Serial on the host (results are simulated, wall
   // clock is not the metric); the shared fault injector and cancellation
   // token are polled in shard order, keeping fault schedules deterministic.
   ExecOptions shard_exec = exec;
   shard_exec.trace = nullptr;  // the executor emits the group-level timeline
-  shard_exec.shards = 1;       // shard engines never re-shard
-  shard_exec.device_list.clear();
   std::vector<QueryResult> partials;
   partials.reserve(static_cast<size_t>(group_.size()));
   for (int i = 0; i < group_.size(); ++i) {
@@ -726,7 +725,7 @@ Result<QueryResult> ShardedExecutor::Execute(const LogicalQuery& query,
       const int track = exec.trace->TrackId(
           "device " + std::to_string(i) + " (" + device.name + ")");
       exec.trace->AddSpan(
-          track, query.name + " shard " + std::to_string(i), "shard.exec", 0.0,
+          track, dist.query + " shard " + std::to_string(i), "shard.exec", 0.0,
           MsToCycles(device0, partials[static_cast<size_t>(i)]
                                   .metrics.elapsed_ms),
           {{"elapsed_ms",
@@ -735,7 +734,7 @@ Result<QueryResult> ShardedExecutor::Execute(const LogicalQuery& query,
     }
     const int link_track = exec.trace->TrackId("exchange (" + link_.spec().name + ")");
     exec.trace->AddSpan(
-        link_track, query.name + " exchange", "shard.exchange",
+        link_track, dist.query + " exchange", "shard.exchange",
         MsToCycles(device0, max_device_ms),
         MsToCycles(device0, max_device_ms + exchange_ms),
         {{"broadcast_bytes", std::to_string(dist.exchange.total_bytes)},
@@ -827,8 +826,8 @@ Result<QueryResult> ShardedExecutor::Execute(const LogicalQuery& query,
   KbeEngine merge_engine(db_, &sim0);
   GPL_ASSIGN_OR_RETURN(
       QueryResult merge_result,
-      merge_engine.ExecuteWithInput(plan, dist.boundary, std::move(substitute),
-                                    exec));
+      merge_engine.ExecuteWithInput(dist.plan, dist.boundary,
+                                    std::move(substitute), exec));
   merge_counters.Accumulate(merge_result.metrics.counters);
   const double merge_ms = device0.CyclesToMs(merge_counters.elapsed_cycles);
   Table current = std::move(merge_result.table);
@@ -864,7 +863,6 @@ Result<QueryResult> ShardedExecutor::Execute(const LogicalQuery& query,
     m.other_ms *= scale;
   }
   if (m.predicted_ms > 0.0) m.predicted_ms += exchange_ms + merge_ms;
-  m.plan_wall_ms = plan_wall_ms;
   m.num_shards = group_.size();
   m.partial_combine = dist.partial_aggregate;
   m.stitched_rows = stitched_rows;
@@ -886,7 +884,7 @@ Result<QueryResult> ShardedExecutor::Execute(const LogicalQuery& query,
     obs::Add(slot_busy_gauges_[i], m.device_elapsed_ms[i]);
   }
   GPL_SLOG(Info, "shard")
-      .Field("query", query.name)
+      .Field("query", dist.query)
       .Field("group", group_.ToString())
       .Field("merge", dist.partial_aggregate ? "combine" : "stitch")
       .Field("sim_ms", m.elapsed_ms)

@@ -35,18 +35,30 @@ struct ExchangeOpReport {
   double predicted_ms = 0.0;
 };
 
-/// How a query would execute across the shard group: the per-shard plan with
-/// Exchange operators inline, plus per-exchange predictions. Execute()
-/// charges exactly these exchanges, so `predicted_bytes` lines up with the
-/// broadcast/shuffle byte counts in QueryMetrics.
-struct DistributedExplain {
+/// A query planned for the shard group — the one object EXPLAIN prints,
+/// EXPLAIN ANALYZE annotates and Execute runs, so what is shown is what is
+/// charged. Built by ShardedExecutor::Plan and valid only for the executor
+/// that built it.
+struct DistributedPlan {
+  std::string query;  ///< the query's name (trace spans, logs)
   int num_shards = 1;
   /// True when the aggregate was pushed down (combine-merge); false when the
   /// query falls back to the row-id stitch-and-replay merge.
   bool partial_aggregate = false;
-  std::string plan_text;  ///< per-shard plan, Exchange operators inline
-  /// Per-relation exchanges (broadcast/repartition/co-partitioned), then the
-  /// final gather of per-shard results to the coordinator.
+  /// The physical plan over the unpartitioned catalog: `boundary` points
+  /// into it, and the merge replays it above the boundary.
+  PhysicalOpPtr plan;
+  /// What every shard runs, Exchange operators inline. On a 1-device group
+  /// this is `plan` itself, with no exchanges.
+  PhysicalOpPtr shard_plan;
+  /// The node of `plan` the merged table replaces.
+  const PhysicalOp* boundary = nullptr;
+  std::string rowid_column;      ///< stitch merge only
+  model::ExchangePlan exchange;  ///< per-relation decisions and totals
+  /// One entry per Exchange operator of `shard_plan`, each built from the
+  /// same record as its operator: the relation decisions, the spine
+  /// relocation, then the gather. Execute charges the relation entries
+  /// exactly as listed; the gather ships what the shards produced.
   std::vector<ExchangeOpReport> exchanges;
 };
 
@@ -117,50 +129,34 @@ class ShardedExecutor {
   const sim::Link& link() const { return link_; }
   model::TuningCache& tuning_cache() const { return *tuning_cache_; }
 
-  /// How Execute() would run `query`: the exchange-annotated per-shard plan
-  /// plus per-exchange predictions. Pure planning — nothing executes and no
-  /// link traffic is recorded (exchange decisions do land in the
-  /// TuningCache, so a following Execute() prices them by lookup).
-  Result<DistributedExplain> Explain(const LogicalQuery& query) const;
+  /// Plans `query` for the group: the exchange-annotated per-shard plan,
+  /// the merge strategy and the priced exchanges. Nothing executes and no
+  /// link traffic is recorded (the exchange plan is memoized in the
+  /// TuningCache).
+  Result<DistributedPlan> Plan(const LogicalQuery& query) const;
 
+  /// Runs a plan built by this executor's Plan() (a plan for another shard
+  /// count is kInvalidArgument).
+  Result<QueryResult> Execute(const DistributedPlan& dist,
+                              const ExecOptions& exec);
+  /// Plan() then Execute(dist); `plan_wall_ms` times the Plan() call.
   Result<QueryResult> Execute(const LogicalQuery& query);
   Result<QueryResult> Execute(const LogicalQuery& query,
                               const ExecOptions& exec);
 
  private:
-  /// A fully planned distributed execution (either merge strategy): the
-  /// exchange-annotated per-shard plan, the substitution point in the
-  /// original plan, and the priced exchanges.
-  struct DistributedPlan {
-    bool partial_aggregate = false;
-    PhysicalOpPtr shard_plan;
-    const PhysicalOp* boundary = nullptr;
-    std::string rowid_column;      ///< fallback path only
-    model::ExchangePlan exchange;  ///< per-relation decisions and totals
-    /// One entry per Exchange operator of `shard_plan`, each built from the
-    /// same record as its operator: the relation decisions, the spine
-    /// relocation, then the gather (what EXPLAIN renders).
-    std::vector<ExchangeOpReport> exchanges;
-  };
-
-  /// Physical plan over the unpartitioned catalog (shared by Execute and
-  /// Explain so both see identical plans).
-  Result<PhysicalOpPtr> PlanQuery(const LogicalQuery& query) const;
-  /// Picks the merge strategy's shard subtree, then annotates it with
-  /// Exchange operators (cost-model priced, TuningCache-memoized).
-  Result<DistributedPlan> PlanDistributed(const PhysicalOpPtr& plan) const;
-  /// The fallback split: sets `dist`'s boundary (the node of the original
-  /// plan the merge replaces) and rowid column, and returns the shard
-  /// subtree with l_rowid threaded to its root.
-  Result<PhysicalOpPtr> SplitAndInject(const PhysicalOpPtr& plan,
-                                       DistributedPlan* dist) const;
+  /// Picks the merge strategy's shard subtree of `dist->plan`, then
+  /// annotates it with Exchange operators (cost-model priced,
+  /// TuningCache-memoized).
+  Status PlanDistributed(DistributedPlan* dist) const;
+  /// The fallback split: sets `dist`'s boundary (the node of `dist->plan`
+  /// the merge replaces) and rowid column, and returns the shard subtree
+  /// with l_rowid threaded to its root.
+  Result<PhysicalOpPtr> SplitAndInject(DistributedPlan* dist) const;
   /// Exchange plan for the tables scanned inside the shard subtree (tables
   /// above the boundary run on the merge device and are never shipped).
   Result<model::ExchangePlan> ExchangeForPlan(
       const PhysicalOp& shard_subtree) const;
-  /// 1-device group: run the plain single-device path on the (full) shard.
-  Result<QueryResult> ExecuteSingle(const LogicalQuery& query,
-                                    const ExecOptions& exec);
 
   const tpch::Database* db_;
   const ShardedDatabase* sharded_;

@@ -10,6 +10,7 @@
 
 #include "common/logging.h"
 #include "engine/engine.h"
+#include "engine/explain_analyze.h"
 #include "engine/metrics_json.h"
 #include "exec/exact_sum.h"
 #include "exec/expr.h"
@@ -487,14 +488,13 @@ TEST(ShardedExecutorTest, ExplainRendersExchangeOperatorsInline) {
   // is pushed down: the plan gathers per-shard partials, and orders — joined
   // above the fact scan, co-partitioned on orderkey — runs distributed as an
   // in-place passthrough, zero bytes.
-  Result<shard::DistributedExplain> q9 = executor.Explain(queries::Q9());
+  Result<shard::DistributedPlan> q9 = executor.Plan(queries::Q9());
   ASSERT_TRUE(q9.ok()) << q9.status().ToString();
   EXPECT_EQ(q9->num_shards, 4);
   EXPECT_TRUE(q9->partial_aggregate);
-  EXPECT_NE(q9->plan_text.find("Exchange["), std::string::npos)
-      << q9->plan_text;
-  EXPECT_NE(q9->plan_text.find("PartialAggregate"), std::string::npos)
-      << q9->plan_text;
+  const std::string q9_text = PlanToString(*q9->shard_plan);
+  EXPECT_NE(q9_text.find("Exchange["), std::string::npos) << q9_text;
+  EXPECT_NE(q9_text.find("PartialAggregate"), std::string::npos) << q9_text;
   bool saw_orders = false;
   bool saw_gather = false;
   for (const shard::ExchangeOpReport& ex : q9->exchanges) {
@@ -517,17 +517,17 @@ TEST(ShardedExecutorTest, ExplainRendersExchangeOperatorsInline) {
   // proves it partition-preserving off the aligned orderkey pair — the
   // compound key only tightens the match — so the aggregate still pushes
   // down instead of falling back to the row-id stitch.
-  Result<shard::DistributedExplain> q5 = executor.Explain(queries::Q5());
+  Result<shard::DistributedPlan> q5 = executor.Plan(queries::Q5());
   ASSERT_TRUE(q5.ok()) << q5.status().ToString();
   EXPECT_TRUE(q5->partial_aggregate);
-  EXPECT_NE(q5->plan_text.find("PartialAggregate"), std::string::npos)
-      << q5->plan_text;
+  const std::string q5_text = PlanToString(*q5->shard_plan);
+  EXPECT_NE(q5_text.find("PartialAggregate"), std::string::npos) << q5_text;
   ASSERT_FALSE(q5->exchanges.empty());
   EXPECT_EQ(q5->exchanges.back().kind, ExchangeKind::kGather);
   EXPECT_GT(q5->exchanges.back().predicted_bytes, 0);
 
-  // Explain is pure planning: a 1-device group reports the plain plan with
-  // no exchanges.
+  // Plan is pure planning: a 1-device group plans the plain plan with no
+  // exchanges.
   DeviceGroup one = DeviceGroup::Homogeneous(sim::DeviceSpec::AmdA10(), 1);
   PartitionOptions pone;
   pone.num_shards = 1;
@@ -535,11 +535,18 @@ TEST(ShardedExecutorTest, ExplainRendersExchangeOperatorsInline) {
   ASSERT_TRUE(sharded1.ok());
   ShardedExecutor single(&SmallDb(), &*sharded1, one, EngineOptions{},
                          &SharedCalibrations());
-  Result<shard::DistributedExplain> plain = single.Explain(queries::Q5());
+  Result<shard::DistributedPlan> plain = single.Plan(queries::Q5());
   ASSERT_TRUE(plain.ok()) << plain.status().ToString();
   EXPECT_EQ(plain->num_shards, 1);
   EXPECT_TRUE(plain->exchanges.empty());
-  EXPECT_EQ(plain->plan_text.find("Exchange["), std::string::npos);
+  EXPECT_EQ(plain->shard_plan, plain->plan);
+  EXPECT_EQ(PlanToString(*plain->shard_plan).find("Exchange["),
+            std::string::npos);
+  // A plan runs only on a group of the shard count it was planned for.
+  EXPECT_EQ(single.Execute(*q5, ExecOptions{}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(executor.Execute(*plain, ExecOptions{}).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ExchangeModelTest, TuneExchangeMatchesBruteForceArgmin) {
@@ -715,7 +722,7 @@ TEST(EngineRoutingTest, ShardedForSharesAProvidedShardedDatabase) {
 }
 
 TEST(ShardedExecutorTest, PartialCombineFlagMatchesExplain) {
-  // Execute must take exactly the merge strategy Explain predicts, for every
+  // Execute must take exactly the merge strategy Plan picked, for every
   // query of the suite (all five push their aggregate down today, but the
   // invariant is flag == plan, not flag == true).
   PartitionOptions poptions;
@@ -728,9 +735,9 @@ TEST(ShardedExecutorTest, PartialCombineFlagMatchesExplain) {
   bool any_combine = false;
   for (auto& [name, query] : queries::EvaluationSuite()) {
     SCOPED_TRACE(name);
-    Result<shard::DistributedExplain> plan = executor.Explain(query);
+    Result<shard::DistributedPlan> plan = executor.Plan(query);
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-    Result<QueryResult> got = executor.Execute(query);
+    Result<QueryResult> got = executor.Execute(*plan, ExecOptions{});
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(got->metrics.partial_combine, plan->partial_aggregate);
     any_combine = any_combine || got->metrics.partial_combine;
@@ -788,7 +795,7 @@ TEST(ShardedExecutorTest, ExplainedExchangesAreThePlanAndTheChargedBytes) {
             q.post_aggregate.clear();
             q.order_by.clear();
           }
-          Result<shard::DistributedExplain> plan = executor.Explain(q);
+          Result<shard::DistributedPlan> plan = executor.Plan(q);
           ASSERT_TRUE(plan.ok()) << plan.status().ToString();
           std::set<std::string> reported;
           int64_t relation_bytes = 0;
@@ -802,10 +809,10 @@ TEST(ShardedExecutorTest, ExplainedExchangesAreThePlanAndTheChargedBytes) {
               relation_bytes += ex.predicted_bytes;
             }
           }
-          EXPECT_EQ(reported, RenderedExchanges(plan->plan_text))
-              << plan->plan_text;
+          const std::string plan_text = PlanToString(*plan->shard_plan);
+          EXPECT_EQ(reported, RenderedExchanges(plan_text)) << plan_text;
 
-          Result<QueryResult> got = executor.Execute(q);
+          Result<QueryResult> got = executor.Execute(*plan, ExecOptions{});
           ASSERT_TRUE(got.ok()) << got.status().ToString();
           EXPECT_EQ(got->metrics.partial_combine, plan->partial_aggregate);
           if (stitch) {
@@ -1079,7 +1086,7 @@ TEST(ShardedExecutorTest, GatherEstimateTracksMeasuredPartialBytes) {
       &SmallDb(), &*sharded,
       DeviceGroup::Homogeneous(sim::DeviceSpec::AmdA10(), 4), EngineOptions{},
       &SharedCalibrations());
-  Result<shard::DistributedExplain> plan = executor.Explain(q);
+  Result<shard::DistributedPlan> plan = executor.Plan(q);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   ASSERT_TRUE(plan->partial_aggregate);
   ASSERT_FALSE(plan->exchanges.empty());
@@ -1087,7 +1094,7 @@ TEST(ShardedExecutorTest, GatherEstimateTracksMeasuredPartialBytes) {
   ASSERT_EQ(gather.kind, ExchangeKind::kGather);
   ASSERT_GT(gather.predicted_bytes, 0);
 
-  Result<QueryResult> got = executor.Execute(q);
+  Result<QueryResult> got = executor.Execute(*plan, ExecOptions{});
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_TRUE(got->metrics.partial_combine);
   ASSERT_GT(got->metrics.shuffle_bytes, 0);
@@ -1099,12 +1106,36 @@ TEST(ShardedExecutorTest, GatherEstimateTracksMeasuredPartialBytes) {
                         << " vs predicted " << gather.predicted_bytes;
 }
 
+TEST(ShardedExecutorTest, ExplainAnalyzePlansOnce) {
+  // EXPLAIN ANALYZE prints, runs and charges one DistributedPlan: a single
+  // exchange-plan lookup per query, not one for EXPLAIN and one for Execute.
+  EngineOptions options;
+  options.calibration =
+      &SharedCalibrations().at(sim::DeviceSpec::AmdA10().name);
+  options.device_calibrations = &SharedCalibrations();
+  Engine engine(&SmallDb(), options);
+  ExecOptions exec = options.exec;
+  exec.shards = 4;
+  for (const auto& [name, query] : queries::EvaluationSuite()) {
+    SCOPED_TRACE(name);
+    const model::TuningCacheStats before = engine.tuning_cache().stats();
+    Result<ExplainAnalyzeReport> report = ExplainAnalyze(engine, query, exec);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    const model::TuningCacheStats after = engine.tuning_cache().stats();
+    EXPECT_EQ((after.exchange_hits + after.exchange_misses) -
+                  (before.exchange_hits + before.exchange_misses),
+              1u);
+    EXPECT_EQ(report->num_shards, 4);
+    EXPECT_GT(report->metrics.exchange_bytes, 0);
+  }
+}
+
 // ---- Sharded service ----
 
 TEST(ShardedServiceTest, ResultsBitIdenticalToSingleDevice) {
   service::ServiceOptions options;
   options.num_workers = 2;
-  options.num_shards = 2;
+  options.engine.exec.shards = 2;
   options.queue_capacity = 64;
   service::QueryService service(&SmallDb(), options);
   EXPECT_TRUE(service.sharded());
@@ -1142,10 +1173,64 @@ TEST(ShardedServiceTest, ResultsBitIdenticalToSingleDevice) {
   }
 }
 
+TEST(ShardedServiceTest, GroupComesFromEngineExecOptions) {
+  // The engine's ExecOptions are the one description of the group: a mixed
+  // device list, a link bandwidth and range partitioning configure the
+  // service, its device_group() reports exactly that group, and a standalone
+  // executor over device_group() charges what the service's workers charged.
+  service::ServiceOptions options;
+  options.num_workers = 2;
+  options.queue_capacity = 64;
+  options.engine.exec.device_list = {sim::DeviceSpec::AmdA10(),
+                                     sim::DeviceSpec::NvidiaK40()};
+  options.engine.exec.link_gbps = 8.0;
+  options.engine.exec.partition = PartitionScheme::kRange;
+  service::QueryService service(&SmallDb(), options);
+  ASSERT_TRUE(service.sharded());
+  const DeviceGroup& group = service.device_group();
+  ASSERT_EQ(group.size(), 2);
+  EXPECT_EQ(group.devices[0].name, sim::DeviceSpec::AmdA10().name);
+  EXPECT_EQ(group.devices[1].name, sim::DeviceSpec::NvidiaK40().name);
+  EXPECT_EQ(group.link.gbytes_per_sec, 8.0);
+
+  std::vector<service::QueryHandle> handles;
+  auto suite = queries::EvaluationSuite();
+  for (auto& [name, query] : suite) {
+    Result<service::QueryHandle> submitted = service.Submit(name, query);
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    handles.push_back(submitted.take());
+  }
+
+  PartitionOptions poptions;
+  poptions.num_shards = group.size();
+  poptions.scheme = PartitionScheme::kRange;
+  Result<ShardedDatabase> sharded = PartitionDatabase(SmallDb(), poptions);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  ShardedExecutor executor(&SmallDb(), &*sharded, group, EngineOptions{},
+                           &SharedCalibrations());
+  const std::vector<ShardedTruth>& truth = SingleDeviceTruth(EngineMode::kGpl);
+  for (size_t i = 0; i < handles.size(); ++i) {
+    SCOPED_TRACE(suite[i].first);
+    const Result<QueryResult>& result = handles[i].Await();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ExpectTablesBitIdentical(truth[i].single.table, result->table);
+    Result<QueryResult> standalone = executor.Execute(suite[i].second);
+    ASSERT_TRUE(standalone.ok()) << standalone.status().ToString();
+    const QueryMetrics& m = result->metrics;
+    EXPECT_EQ(m.num_shards, 2);
+    EXPECT_EQ(m.elapsed_ms, standalone->metrics.elapsed_ms);
+    EXPECT_EQ(m.exchange_ms, standalone->metrics.exchange_ms);
+    EXPECT_EQ(m.exchange_bytes, standalone->metrics.exchange_bytes);
+    EXPECT_EQ(m.device_elapsed_ms, standalone->metrics.device_elapsed_ms);
+  }
+  service.Shutdown();
+  EXPECT_EQ(service.Stats().device_busy_ms.size(), 2u);
+}
+
 TEST(ShardedServiceTest, RetriesRecoverInjectedFaultsUnderSharding) {
   service::ServiceOptions options;
   options.num_workers = 2;
-  options.num_shards = 2;
+  options.engine.exec.shards = 2;
   options.queue_capacity = 64;
   options.fault.kernel_abort_rate = 0.01;
   options.fault.seed = 17;
